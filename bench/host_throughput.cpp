@@ -1,19 +1,16 @@
 // End-to-end host orchestration throughput: wall-clock pairs/s and GCUPS of
 // the full batched host path (prep -> transfer -> kernel sim -> readback ->
-// decode) on the S=1000 and S=10000 workloads, comparing the pre-PR
-// legacy-barrier engine against the work-stealing pipelined engine at the
-// same worker count. Writes BENCH_host.json so the perf trajectory tracks
-// orchestration, not just the kernel inner loop (BENCH_kernel.json).
+// decode) on the S=1000 and S=10000 workloads, through the execution engine
+// directly and through the backend/dispatch layer. Writes BENCH_host.json so
+// the perf trajectory tracks orchestration, not just the kernel inner loop
+// (BENCH_kernel.json).
 //
-// The report also carries a "scaling" section — pipelined sim wall-clock at
-// each --scaling thread count, each point bit-compared against the
-// threads=1 legacy (serial-schedule) reference — and keeps every
-// machine-dependent fact (worker threads, hardware concurrency, the whole
-// scaling curve) inside provenance/machine/scaling blocks that
-// scripts/bench_diff.py skips, so cross-machine diffs gate only on
-// machine-independent shape. --identity-smoke runs just the threads 2-vs-1
-// bit-identity gate (both engine modes) and exits with the verdict; the
-// default scripts/verify.sh run uses it as a cheap parallel-sweep check.
+// The report also carries a "scaling" section — sim wall-clock at each
+// --scaling thread count, each point bit-compared against a run on a
+// 1-thread pool (the serial schedule) — and keeps every machine-dependent
+// fact (worker threads, hardware concurrency, the whole scaling curve)
+// inside provenance/machine/scaling blocks that scripts/bench_diff.py
+// skips, so cross-machine diffs gate only on machine-independent shape.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -44,11 +41,10 @@ struct EngineTiming {
   double gcups = 0.0;
 };
 
-/// Best-of-N wall-clock of a full align_pairs run under `mode`.
+/// Best-of-N wall-clock of a full align_pairs run.
 EngineTiming time_engine(const std::vector<core::PairInput>& pairs,
-                         core::PimAlignerConfig config, core::EngineMode mode,
-                         ThreadPool& workers, double banded_cells, int reps) {
-  config.engine = mode;
+                         core::PimAlignerConfig config, ThreadPool& workers,
+                         double banded_cells, int reps) {
   config.workers = &workers;
   EngineTiming timing;
   timing.seconds = 1e100;
@@ -73,7 +69,6 @@ EngineTiming time_dispatch(const std::vector<core::PairInput>& pairs,
                            core::BackendKind backend_kind,
                            core::RoutePolicy policy, ThreadPool& workers,
                            double banded_cells, int reps) {
-  config.engine = core::EngineMode::kPipelined;
   config.workers = &workers;
   EngineTiming timing;
   timing.seconds = 1e100;
@@ -102,10 +97,8 @@ struct WorkloadResult {
   std::size_t pairs = 0;
   std::size_t read_length = 0;
   std::size_t threads = 0;  // real ThreadPool size the section ran with
-  EngineTiming legacy;
   EngineTiming pipelined;
   EngineTiming dispatch;
-  double speedup = 0.0;
 };
 
 /// One full align_pairs run: outputs + modeled report + wall seconds.
@@ -116,9 +109,7 @@ struct RunResult {
 };
 
 RunResult run_once(const std::vector<core::PairInput>& pairs,
-                   core::PimAlignerConfig config, core::EngineMode mode,
-                   ThreadPool& workers) {
-  config.engine = mode;
+                   core::PimAlignerConfig config, ThreadPool& workers) {
   config.workers = &workers;
   core::PimAligner aligner(config);
   RunResult r;
@@ -190,23 +181,19 @@ WorkloadResult run_workload(const std::string& name,
   result.pairs = pairs.size();
   result.read_length = data_config.read_length;
   result.threads = workers.size();
-  result.legacy = time_engine(pairs, config, core::EngineMode::kLegacyBarrier,
-                              workers, banded_cells, reps);
-  result.pipelined = time_engine(pairs, config, core::EngineMode::kPipelined,
-                                 workers, banded_cells, reps);
+  result.pipelined =
+      time_engine(pairs, config, workers, banded_cells, reps);
   result.dispatch = time_dispatch(pairs, config, backend_kind, policy, workers,
                                   banded_cells, reps);
-  result.speedup = result.legacy.seconds / result.pipelined.seconds;
-  std::printf("%-8s %5zu pairs x %5zu bp  legacy %7.3fs  pipelined %7.3fs  "
-              "speedup %.2fx  dispatch %7.3fs  (%.0f pairs/s, %.3f GCUPS)\n",
+  std::printf("%-8s %5zu pairs x %5zu bp  pipelined %7.3fs  "
+              "dispatch %7.3fs  (%.0f pairs/s, %.3f GCUPS)\n",
               name.c_str(), result.pairs, result.read_length,
-              result.legacy.seconds, result.pipelined.seconds, result.speedup,
-              result.dispatch.seconds, result.pipelined.pairs_per_second,
-              result.pipelined.gcups);
+              result.pipelined.seconds, result.dispatch.seconds,
+              result.pipelined.pairs_per_second, result.pipelined.gcups);
   return result;
 }
 
-/// One instrumented pipelined run (outside the timed reps): records a
+/// One instrumented run (outside the timed reps): records a
 /// Chrome/Perfetto trace and a StatsCollector report. Tracing never changes
 /// the modeled outputs (engine_test pins bit-identity), but it does add
 /// wall-clock overhead, so the timed loop above runs untraced.
@@ -221,7 +208,6 @@ void run_traced(const data::SyntheticConfig& data_config,
   core::PimAlignerConfig config;
   config.nr_ranks = 2;
   config.batch_pairs = batch_pairs;
-  config.engine = core::EngineMode::kPipelined;
   config.workers = &workers;
   core::StatsCollector stats;
   config.stats = &stats;
@@ -251,9 +237,9 @@ void write_engine(std::ofstream& out, const char* key, const EngineTiming& t) {
 
 struct ScalingPoint {
   std::size_t threads = 0;  // real pool size (== requested)
-  double seconds = 0.0;     // best-of-reps pipelined wall clock
+  double seconds = 0.0;     // best-of-reps wall clock
   double speedup_vs_1 = 0.0;
-  bool identical_to_serial = false;  // bit-compared vs threads=1 legacy
+  bool identical_to_serial = false;  // bit-compared vs a 1-thread pool
 };
 
 struct ScalingCurve {
@@ -262,9 +248,9 @@ struct ScalingCurve {
   bool all_identical = true;
 };
 
-/// Pipelined sim wall-clock at each requested thread count, every point
-/// bit-compared (outputs + modeled report) against the threads=1 legacy
-/// run — the serial reference schedule. One pool per point: the pool size
+/// Sim wall-clock at each requested thread count, every point bit-compared
+/// (outputs + modeled report) against a run on a 1-thread pool — the serial
+/// schedule. One pool per point: the pool size
 /// IS the independent variable here, unlike the main sections which share
 /// the --threads pool.
 ScalingCurve run_scaling(const std::string& name,
@@ -282,8 +268,7 @@ ScalingCurve run_scaling(const std::string& name,
   config.batch_pairs = batch_pairs;
 
   ThreadPool serial_pool(1);
-  const RunResult reference =
-      run_once(pairs, config, core::EngineMode::kLegacyBarrier, serial_pool);
+  const RunResult reference = run_once(pairs, config, serial_pool);
 
   ScalingCurve curve;
   curve.name = name;
@@ -295,8 +280,7 @@ ScalingCurve run_scaling(const std::string& name,
     point.seconds = 1e100;
     point.identical_to_serial = true;
     for (int rep = 0; rep < reps; ++rep) {
-      const RunResult r =
-          run_once(pairs, config, core::EngineMode::kPipelined, pool);
+      const RunResult r = run_once(pairs, config, pool);
       point.seconds = std::min(point.seconds, r.seconds);
       if (!same_outputs(r.out, reference.out) ||
           !same_report(r.report, reference.report)) {
@@ -314,60 +298,6 @@ ScalingCurve run_scaling(const std::string& name,
     curve.points.push_back(point);
   }
   return curve;
-}
-
-/// --identity-smoke: the threads 2-vs-1 bit-identity gate verify.sh runs in
-/// its default (non --bench) pass. Both engine modes at 2 workers are
-/// compared against the legacy engine on a 1-thread pool — the serial
-/// reference schedule — on a small S=1000 slice. Returns a process exit
-/// status; no JSON is written.
-int run_identity_smoke(std::uint64_t seed) {
-  const data::PairDataset dataset =
-      data::generate_synthetic(data::s1000_config(96, seed));
-  std::vector<core::PairInput> pairs;
-  pairs.reserve(dataset.pairs.size());
-  for (const auto& [a, b] : dataset.pairs) pairs.push_back({a, b});
-
-  core::PimAlignerConfig config;
-  config.nr_ranks = 2;
-  config.batch_pairs = 24;  // several batches, so the pipeline window fills
-
-  ThreadPool one(1);
-  ThreadPool two(2);
-  const RunResult reference =
-      run_once(pairs, config, core::EngineMode::kLegacyBarrier, one);
-
-  struct Leg {
-    const char* name;
-    core::EngineMode mode;
-    ThreadPool* pool;
-  };
-  const Leg legs[] = {
-      {"legacy@2", core::EngineMode::kLegacyBarrier, &two},
-      {"pipelined@1", core::EngineMode::kPipelined, &one},
-      {"pipelined@2", core::EngineMode::kPipelined, &two},
-  };
-  for (const Leg& leg : legs) {
-    const RunResult r = run_once(pairs, config, leg.mode, *leg.pool);
-    if (!same_outputs(r.out, reference.out)) {
-      std::fprintf(stderr,
-                   "identity smoke FAILED: %s outputs differ from the "
-                   "serial legacy@1 schedule\n",
-                   leg.name);
-      return 1;
-    }
-    if (!same_report(r.report, reference.report)) {
-      std::fprintf(stderr,
-                   "identity smoke FAILED: %s modeled report differs from "
-                   "the serial legacy@1 schedule\n",
-                   leg.name);
-      return 1;
-    }
-  }
-  std::printf("identity smoke passed: legacy@2 / pipelined@1 / pipelined@2 "
-              "bit-identical to legacy@1 on %zu pairs\n",
-              pairs.size());
-  return 0;
 }
 
 std::vector<std::size_t> parse_thread_list(const std::string& s) {
@@ -389,10 +319,9 @@ std::vector<std::size_t> parse_thread_list(const std::string& s) {
 
 int main(int argc, char** argv) {
   Cli cli("host_throughput",
-          "End-to-end host path wall-clock: legacy barrier vs pipelined "
-          "work-stealing engine");
+          "End-to-end host path wall-clock of the work-stealing engine");
   cli.flag("threads", std::int64_t{0},
-           "worker threads for both engines (0 = hardware concurrency "
+           "worker threads (0 = hardware concurrency "
            "clamped to the cgroup CPU quota; the ISSUE 2 speedup target "
            "assumes >= 8 hardware threads)");
   cli.flag("s1000-pairs", std::int64_t{256}, "pair count for S=1000");
@@ -414,13 +343,9 @@ int main(int argc, char** argv) {
   cli.flag("policy", std::string("single"),
            "routing policy of the dispatched pass: single | threshold | cost");
   cli.flag("scaling", std::string("1,2,4,8"),
-           "comma-separated thread counts for the scaling section (pipelined "
-           "sim seconds vs threads, bit-checked against the serial "
-           "schedule); empty disables it");
-  cli.flag("identity-smoke", false,
-           "run only the threads 2-vs-1 bit-identity gate (both engine "
-           "modes vs the serial legacy@1 schedule) and exit with the "
-           "verdict; writes no JSON");
+           "comma-separated thread counts for the scaling section (sim "
+           "seconds vs threads, bit-checked against the serial schedule); "
+           "empty disables it");
   cli.flag("list-backends", false,
            "print the aligner backend kinds and exit");
   cli.flag("list-kernels", false,
@@ -465,10 +390,6 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(cli.get_int("reps"));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
-  if (cli.get_bool("identity-smoke")) {
-    return run_identity_smoke(seed);
-  }
-
   ThreadPool workers(threads);
 
   const auto s1000 = data::s1000_config(
@@ -498,8 +419,6 @@ int main(int argc, char** argv) {
   const std::string path = cli.get_string("out");
   std::ofstream out(path);
   out << "{\n";
-  out << "  \"batch_window\": " << core::PimAlignerConfig{}.batch_window
-      << ",\n";
   {
     // Same modeled configuration the workloads ran (2 ranks, defaults).
     // Machine-dependent facts — the pool size the sections really ran with
@@ -521,17 +440,13 @@ int main(int argc, char** argv) {
     out << "    \"pairs\": " << r.pairs << ",\n";
     out << "    \"read_length\": " << r.read_length << ",\n";
     out << "    \"machine\": { \"threads\": " << r.threads << " },\n";
-    write_engine(out, "legacy_barrier", r.legacy);
-    out << ",\n";
     write_engine(out, "pipelined", r.pipelined);
     out << ",\n";
     write_engine(out, "dispatch", r.dispatch);
-    out << ",\n";
-    out << "    \"speedup_pipelined_vs_legacy\": " << r.speedup << "\n";
-    out << "  },\n";
+    out << "\n  },\n";
   }
   out << "  \"scaling\": {\n";
-  out << "    \"note\": \"pipelined sim wall-clock vs worker threads; "
+  out << "    \"note\": \"sim wall-clock vs worker threads; "
          "machine-dependent, skipped by bench_diff; every point "
          "bit-compared against the threads=1 serial schedule\"";
   for (const ScalingCurve& c : scaling) {

@@ -4,7 +4,7 @@
 #   default  RelWithDebInfo, the full suite (tier-1 gate)
 #   asan     Debug + ASan/UBSan, the full suite
 #   tsan     RelWithDebInfo + TSan, the concurrency-sensitive subset
-#            (thread pool, prefetch, engine determinism, trace/stats)
+#            (thread pool, engine determinism and golden digest, trace/stats)
 #
 # Each preset also runs the "trace" ctest label explicitly, so the
 # observability layer (util/trace, core/stats) is exercised under every
@@ -42,11 +42,6 @@
 # A --tidy flag adds a clang-tidy pass (the .clang-tidy profile) over the
 # core orchestration and simulator sources; it is skipped with a notice when
 # clang-tidy is not installed, so the stage is safe to request everywhere.
-#
-# The default preset also runs the parallel-sweep bit-identity smoke
-# (host_throughput --identity-smoke): legacy@2 / pipelined@1 / pipelined@2
-# vs the serial legacy@1 schedule (DESIGN.md §15) — the cheap standing
-# guard that the data-parallel DPU sweep never perturbs modeled results.
 #
 # A --bench flag adds the benchmark regression gate: re-run the
 # BENCH_kernel.json, BENCH_16s.json, BENCH_serve.json, BENCH_host.json and
@@ -162,10 +157,6 @@ for preset in "${PRESETS[@]}"; do
       exit 1
     fi
     wait "$SERVE_PID"
-    echo "=== [$preset] parallel-sweep bit-identity smoke (threads 2 vs 1)"
-    cmake --build --preset default -j "$JOBS" --target host_throughput \
-        >/dev/null
-    "$BUILD_DIR/bench/host_throughput" --identity-smoke
   fi
 done
 

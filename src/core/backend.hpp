@@ -206,7 +206,7 @@ class PimWfaBackend : public PimBackend {
  public:
   struct Config {
     /// `aligner.kernel` is overridden to the WFA kernel; everything else
-    /// (ranks, pools, engine mode, traceback, wfa_max_cost) applies as-is.
+    /// (ranks, pools, workers, traceback, wfa_max_cost) applies as-is.
     PimAlignerConfig aligner;
     /// Expected per-base divergence of the inputs (drives the modeled
     /// alignment cost, hence the wavefront work estimate).

@@ -1,26 +1,19 @@
-// The host execution engine (ISSUE 2, DESIGN.md "Execution engine").
+// The host execution engine (DESIGN.md §8 "Execution engine").
 //
 // The three run loops of core/host.cpp slice their workload into rank-batches
-// of 64 per-DPU plans; this engine executes those batches. Two modes, chosen
-// by PimAlignerConfig::engine:
+// of 64 per-DPU plans; this engine executes those batches. Up to
+// kBatchWindow batches are in flight at once — the paper's reader thread and
+// FIFO of rank-sized batches (§4.1.3), generalised from one batch of
+// look-ahead to a window. A batch is built on a pool worker, then its
+// non-empty DPU plans are swept by the pool's workers on per-worker scratch
+// arenas (a private Dpu bank + reusable WRAM + kernel workspace), stolen,
+// reordered and interleaved across batches. A sequenced commit stage on the
+// calling thread then applies the modeled timeline strictly in batch order,
+// with the arithmetic of the serial schedule, so every score, CIGAR, cycle
+// count, DMA byte and timeline figure is bit-identical for any worker count
+// and any steal order (the golden-digest tests pin this).
 //
-//  * kPipelined (default): up to `batch_window` batches are in flight at
-//    once. A batch is built on a pool worker, then fans out into one job per
-//    non-empty DPU plan; jobs land in the workers' Chase–Lev deques and are
-//    executed — stolen, reordered, interleaved across batches — on
-//    per-worker scratch arenas (a private Dpu bank + reusable WRAM +
-//    KernelScratch). A sequenced commit stage on the calling thread then
-//    applies the modeled timeline strictly in batch order, with arithmetic
-//    identical to the serial schedule, so every score, CIGAR, cycle count,
-//    DMA byte and timeline figure is bit-identical for any worker count and
-//    any steal order (engine_test pins this).
-//
-//  * kLegacyBarrier: the pre-pipeline behaviour — one batch at a time,
-//    one-slot Prefetch look-ahead, contiguous-chunk parallel_for behind a
-//    rank barrier. Kept as the wall-clock baseline for BENCH_host.json and
-//    as the determinism test's reference schedule.
-//
-// Modeled time is unaffected by the mode because the timeline is derived
+// Modeled time is unaffected by the schedule because the timeline is derived
 // from the cost models (cycles, bytes) in commit order, never from host
 // wall-clock; out-of-order execution changes only when the numbers become
 // available, not what they are.
@@ -153,10 +146,15 @@ void decode_readback(const DpuPlan& plan,
                      std::vector<PairOutput>* out);
 
 /// Executes rank-batches and accumulates the modeled timeline + RunReport.
-/// See the file comment for the two modes. Not reentrant; run() must be
-/// called from outside the worker pool.
+/// See the file comment. Not reentrant; run() must be called from outside
+/// the worker pool.
 class ExecEngine {
  public:
+  /// Rank-batches in flight at once. One batch already overlaps
+  /// plan-building with execution; more let the workers chew the tail of one
+  /// batch while the next one's DPU plans spread out.
+  static constexpr std::size_t kBatchWindow = 4;
+
   ExecEngine(const PimAlignerConfig& config, const HostCost& host_cost);
   ~ExecEngine();
 
@@ -169,15 +167,14 @@ class ExecEngine {
 
   /// Broadcast `bytes` to every DPU at `mram_offset` (the 16S experiment's
   /// shared sequence pool) and charge the transfer, which delays every rank.
-  /// In pipelined mode the buffer is kept and lazily written into each
-  /// worker arena's bank; the modeled cost is identical to writing all
-  /// nr_dpus banks.
+  /// The buffer is kept and lazily written into each worker arena's bank;
+  /// the modeled cost is that of writing all nr_dpus banks.
   void set_broadcast(std::span<const std::uint8_t> bytes,
                      std::uint64_t mram_offset);
 
   /// Execute `n_batches` batches. `build(b)` produces batch b's plans; it
-  /// must be thread-safe (pipelined mode builds several batches at once on
-  /// pool workers) and must return exactly upmem::kDpusPerRank plans.
+  /// must be thread-safe (several batches are built at once on pool
+  /// workers) and must return exactly upmem::kDpusPerRank plans.
   /// Results are decoded into `out` (indexed by global id; may be null).
   void run(std::size_t n_batches,
            const std::function<PreparedBatch(std::size_t)>& build,
@@ -211,16 +208,11 @@ class ExecEngine {
   void exec_plan(Slot& slot, int dpu, std::vector<PairOutput>* out);
   void job_done(Slot& slot);
   void wait_for(Slot& slot);
-  void run_legacy(std::size_t n_batches,
-                  const std::function<PreparedBatch(std::size_t)>& build,
-                  std::vector<PairOutput>* out);
-  void legacy_run_batch(PreparedBatch& prepared, std::vector<PairOutput>* out);
 
   const PimAlignerConfig& config_;
   const PimKernel& kernel_;  // config_.kernel or nw_kernel(); never null
   const HostCost& host_cost_;
   ThreadPool* pool_;  // config_.workers or global_pool(); never null
-  upmem::PimSystem system_;  // banks used by the legacy mode only
 
   // Observability (read-only with respect to the modeled arithmetic).
   StatsCollector own_stats_;
@@ -240,7 +232,7 @@ class ExecEngine {
   double mram_sum_ = 0.0;
   int launches_ = 0;
 
-  // Pipelined-mode state.
+  // Execution state.
   std::vector<std::unique_ptr<Arena>> arenas_;  // [worker_index + 1]
   std::vector<std::unique_ptr<Slot>> slots_;
   std::mutex mutex_;  // guards Slot::error

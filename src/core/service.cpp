@@ -177,9 +177,10 @@ AlignService::AlignService(Dispatcher* dispatcher, ServiceConfig config)
     // Rank-sized auto, the same formula PimAligner::align_pairs uses for
     // its auto batch: every pool of every DPU of a rank sees two pairs.
     std::size_t batch = static_cast<std::size_t>(upmem::kDpusPerRank) * 6 * 2;
-    if (const AlignerBackend* b = dispatcher_->backend(BackendKind::kPim)) {
-      // kind() == kPim implies the concrete type.
-      const auto* pim = static_cast<const PimBackend*>(b);
+    // kind() == kPim does not imply the concrete type: a forwarding
+    // wrapper may report it, and then the default above stands.
+    if (const auto* pim = dynamic_cast<const PimBackend*>(
+            dispatcher_->backend(BackendKind::kPim))) {
       batch = static_cast<std::size_t>(upmem::kDpusPerRank) *
               static_cast<std::size_t>(pim->aligner_config().pool.pools) * 2;
     }

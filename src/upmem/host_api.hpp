@@ -20,6 +20,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 
 #include "upmem/system.hpp"
 

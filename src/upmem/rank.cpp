@@ -26,8 +26,7 @@ const Dpu& Rank::dpu(int index) const {
 
 Rank::LaunchStats Rank::launch(
     const std::function<std::unique_ptr<DpuProgram>(int)>& make_program,
-    int pools, int tasklets_per_pool, ThreadPool* pool,
-    bool static_chunking) {
+    int pools, int tasklets_per_pool, ThreadPool* pool) {
   // DPUs are independent by construction (each owns its bank), so the
   // simulation executes them on the host's worker threads; results and
   // modeled times are bit-identical to a serial run. Programs are created
@@ -47,11 +46,7 @@ Rank::LaunchStats Rank::launch(
     summaries[d] = dpus_[d].launch(*programs[d], pools, tasklets_per_pool);
   };
   if (tp.size() > 1) {
-    if (static_chunking) {
-      tp.parallel_for_static(kDpusPerRank, body);
-    } else {
-      tp.parallel_for(kDpusPerRank, body);
-    }
+    tp.parallel_for(kDpusPerRank, body);
   } else {
     for (std::size_t d = 0; d < kDpusPerRank; ++d) body(d);
   }

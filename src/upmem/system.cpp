@@ -37,35 +37,4 @@ TransferStats PimSystem::copy_to_rank(
   return stats;
 }
 
-TransferStats PimSystem::copy_from_rank(
-    int r, const std::vector<std::uint64_t>& bytes_per_dpu,
-    std::uint64_t mram_offset, std::vector<std::vector<std::uint8_t>>& out) {
-  PIMNW_CHECK_MSG(bytes_per_dpu.size() <= static_cast<std::size_t>(kDpusPerRank),
-                  "more buffers than DPUs in a rank");
-  Rank& source = rank(r);
-  out.assign(bytes_per_dpu.size(), {});
-  TransferStats stats;
-  for (std::size_t d = 0; d < bytes_per_dpu.size(); ++d) {
-    if (bytes_per_dpu[d] == 0) continue;
-    out[d].resize(bytes_per_dpu[d]);
-    source.dpu(static_cast<int>(d)).mram().read(mram_offset, out[d]);
-    stats.bytes += bytes_per_dpu[d];
-  }
-  stats.seconds = host_transfer_seconds(stats.bytes);
-  return stats;
-}
-
-TransferStats PimSystem::broadcast_all(std::span<const std::uint8_t> buffer,
-                                       std::uint64_t mram_offset) {
-  TransferStats stats;
-  for (Rank& r : ranks_) {
-    for (int d = 0; d < kDpusPerRank; ++d) {
-      r.dpu(d).mram().write(mram_offset, buffer);
-    }
-  }
-  stats.bytes = buffer.size() * static_cast<std::uint64_t>(nr_dpus());
-  stats.seconds = host_transfer_seconds(stats.bytes);
-  return stats;
-}
-
 }  // namespace pimnw::upmem

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "upmem/rank.hpp"
@@ -42,14 +41,14 @@ class PimSystem {
 
   /// Modeled cost of a transfer totalling `bytes`, without moving anything —
   /// the execution engine simulates DPUs on per-worker scratch banks and
-  /// charges transfers through this (identical arithmetic to copy_to_rank /
-  /// copy_from_rank on the same byte count).
+  /// charges transfers through this (identical arithmetic to copy_to_rank on
+  /// the same byte count).
   static TransferStats transfer_stats(std::uint64_t bytes) {
     return {bytes, host_transfer_seconds(bytes)};
   }
 
   /// Modeled cost of broadcasting a `buffer_bytes` buffer to `nr_dpus` DPUs
-  /// (each bank is written individually on the wire, as broadcast_all does).
+  /// (each bank is written individually on the wire).
   static TransferStats broadcast_stats(std::uint64_t buffer_bytes,
                                        int nr_dpus) {
     return transfer_stats(buffer_bytes * static_cast<std::uint64_t>(nr_dpus));
@@ -60,19 +59,6 @@ class PimSystem {
   TransferStats copy_to_rank(int r,
                              const std::vector<std::vector<std::uint8_t>>& per_dpu,
                              std::uint64_t mram_offset);
-
-  /// Read `bytes_per_dpu[d]` bytes from each DPU of rank `r` at
-  /// `mram_offset` into `out[d]`.
-  TransferStats copy_from_rank(int r,
-                               const std::vector<std::uint64_t>& bytes_per_dpu,
-                               std::uint64_t mram_offset,
-                               std::vector<std::vector<std::uint8_t>>& out);
-
-  /// Write the same buffer to every DPU of every rank (the 16S experiment's
-  /// broadcast, §5.3). On the wire each bank is still written individually,
-  /// so the modeled bytes are buffer-size x nr_dpus.
-  TransferStats broadcast_all(std::span<const std::uint8_t> buffer,
-                              std::uint64_t mram_offset);
 
  private:
   std::vector<Rank> ranks_;

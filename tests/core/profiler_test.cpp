@@ -2,8 +2,8 @@
 //
 //  * Reconciliation: every LaunchRecord's attributed_cycles equals its
 //    sum_dpu_cycles, and the run-wide merged profile sums exactly to the
-//    total launch cycles — in both engine modes, across pool/tasklet
-//    shapes, with and without traceback.
+//    total launch cycles — across pool/tasklet shapes, with and without
+//    traceback.
 //  * Pure observer: attaching a StatsCollector (and thus collecting the
 //    profile) changes no score, CIGAR, modeled cycle or DMA byte.
 //  * The bt_stream_passes stress knob scales only modeled BT DMA traffic
@@ -90,26 +90,18 @@ void expect_reconciles(const StatsCollector& stats) {
 
 TEST(ProfilerTest, ReconciliationAcrossEnginesAndShapes) {
   const struct {
-    EngineMode mode;
     int pools;
     int tasklets;
     bool traceback;
   } cases[] = {
-      {EngineMode::kPipelined, 6, 4, true},
-      {EngineMode::kPipelined, 2, 3, true},
-      {EngineMode::kPipelined, 1, 2, true},
-      {EngineMode::kPipelined, 6, 4, false},
-      {EngineMode::kLegacyBarrier, 6, 4, true},
-      {EngineMode::kLegacyBarrier, 2, 3, false},
-      {EngineMode::kLegacyBarrier, 1, 2, true},
+      {6, 4, true}, {2, 3, true}, {1, 2, true}, {6, 4, false}, {2, 3, false},
   };
   for (const auto& c : cases) {
-    SCOPED_TRACE(std::string(engine_mode_name(c.mode)) + " P" +
-                 std::to_string(c.pools) + "T" + std::to_string(c.tasklets) +
+    SCOPED_TRACE("P" + std::to_string(c.pools) + "T" +
+                 std::to_string(c.tasklets) +
                  (c.traceback ? " tb" : " score-only"));
     StatsCollector stats;
     PimAlignerConfig config = base_config();
-    config.engine = c.mode;
     config.pool.pools = c.pools;
     config.pool.tasklets_per_pool = c.tasklets;
     config.align.traceback = c.traceback;

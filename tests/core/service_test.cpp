@@ -9,6 +9,8 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -316,6 +318,50 @@ TEST(ServiceOversized, StatusFlowsThroughService) {
   EXPECT_EQ(bad.output.status, PairStatus::kOversized);
   EXPECT_GT(bad.batch_id, 0u);  // dispatched, rejected inside the backend
   EXPECT_TRUE(good.get().output.ok);
+  service.stop();
+}
+
+/// Reports kPim but forwards every call to another backend — the shape of a
+/// timing or tracing wrapper around any backend.
+class ForwardingBackend : public AlignerBackend {
+ public:
+  explicit ForwardingBackend(AlignerBackend* inner) : inner_(inner) {}
+
+  BackendKind kind() const override { return BackendKind::kPim; }
+  BackendCapabilities capabilities() const override {
+    return inner_->capabilities();
+  }
+  double estimate_seconds(std::size_t len_a,
+                          std::size_t len_b) const override {
+    return inner_->estimate_seconds(len_a, len_b);
+  }
+  Ticket submit(std::span<const PairInput> pairs) override {
+    return inner_->submit(pairs);
+  }
+  std::vector<PairOutput> wait(Ticket ticket) override {
+    return inner_->wait(ticket);
+  }
+  BackendReport drain() override { return inner_->drain(); }
+
+ private:
+  AlignerBackend* inner_;
+};
+
+TEST(ServiceBatchSize, PimKindWithoutPimBackendUsesDefault) {
+  // kind() == kPim does not make a backend a PimBackend: the auto batch
+  // size must fall back to the rank-sized default rather than read a
+  // PimAlignerConfig the wrapper does not have.
+  CpuBackend cpu({});
+  const auto wrapper = std::make_unique<ForwardingBackend>(&cpu);
+  Dispatcher dispatcher({.policy = RoutePolicy::kSingle,
+                         .single = BackendKind::kPim},
+                        {wrapper.get()});
+  AlignService service(&dispatcher, ServiceConfig{});
+  EXPECT_EQ(service.config().max_batch_pairs,
+            static_cast<std::size_t>(upmem::kDpusPerRank) * 6 * 2);
+  const TestPairs t = make_pairs(1, 200, 0.02, 13);
+  std::future<ServiceResult> result = service.submit(t.pairs[0]);
+  EXPECT_EQ(result.get().output.status, PairStatus::kOk);
   service.stop();
 }
 

@@ -109,29 +109,5 @@ TEST(SystemTest, CopyToRankWritesPerDpuBuffers) {
   EXPECT_EQ(back2, (std::vector<std::uint8_t>{4, 5}));
 }
 
-TEST(SystemTest, CopyFromRankReadsBack) {
-  PimSystem system(1);
-  system.rank(0).dpu(7).mram().write(0, std::vector<std::uint8_t>{42, 43});
-  std::vector<std::uint64_t> sizes(64, 0);
-  sizes[7] = 2;
-  std::vector<std::vector<std::uint8_t>> out;
-  const TransferStats stats = system.copy_from_rank(0, sizes, 0, out);
-  EXPECT_EQ(stats.bytes, 2u);
-  EXPECT_EQ(out[7], (std::vector<std::uint8_t>{42, 43}));
-  EXPECT_TRUE(out[0].empty());
-}
-
-TEST(SystemTest, BroadcastReachesEveryDpuAndCountsWireBytes) {
-  PimSystem system(2);
-  std::vector<std::uint8_t> payload = {7, 7, 7, 7};
-  const TransferStats stats = system.broadcast_all(payload, 4096);
-  EXPECT_EQ(stats.bytes, 4u * 128);  // buffer x 128 DPUs on the wire
-  for (int r = 0; r < 2; ++r) {
-    std::vector<std::uint8_t> back(4);
-    system.rank(r).dpu(63).mram().read(4096, back);
-    EXPECT_EQ(back, payload);
-  }
-}
-
 }  // namespace
 }  // namespace pimnw::upmem
