@@ -38,6 +38,9 @@ SeqPool SeqPool::build(std::span<const std::string_view> seqs) {
   pool.data_.assign(align8(off), 0);
   for (std::size_t i = 0; i < seqs.size(); ++i) {
     const dna::PackedSequence packed = dna::PackedSequence::pack(seqs[i]);
+    // An empty sequence packs to no bytes, and memcpy must not be handed
+    // its null data pointer.
+    if (packed.bytes().empty()) continue;
     std::memcpy(pool.data_.data() + pool.entries_[i].offset,
                 packed.bytes().data(), packed.bytes().size());
   }
