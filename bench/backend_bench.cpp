@@ -292,12 +292,14 @@ int main(int argc, char** argv) {
               beats_all_singles ? "beats" : "does NOT beat");
 
   // JSON layout note: everything bench_diff gates on is deterministic
-  // (pair counts, aligned/oversized totals, routing of the fixed policies).
-  // Wall-clock timings and the cost policy's routing — which follows the
-  // measured calibration, so it can legitimately differ between machines
-  // and even between runs — live under per-run "machine" blocks that
-  // bench_diff skips. The cost_beats_all_singles headline is enforced by
-  // this process's exit status on every --bench regeneration instead.
+  // (pair counts, aligned/oversized totals, routing of the fixed policies,
+  // and the cost policy's routing when its scales come from a calibration
+  // file). Wall-clock timings, and the cost policy's routing when it
+  // follows this run's probes — which can legitimately differ between
+  // machines and even between runs — live under per-run "machine" blocks
+  // that bench_diff skips. The cost_beats_all_singles headline is enforced
+  // by this process's exit status on every --bench regeneration instead.
+  const bool cost_routing_fixed = !cli.get_string("calibration-file").empty();
   const std::string path = cli.get_string("out");
   std::ofstream out(path);
   out << "{\n";
@@ -315,9 +317,10 @@ int main(int argc, char** argv) {
     out << "    { \"name\": \"" << row.name << "\",\n";
     out << "      \"aligned\": " << row.report.aligned
         << ", \"total_pairs\": " << row.report.total_pairs << ",\n";
-    if (row.name != "cost") {
+    if (row.name != "cost" || cost_routing_fixed) {
       // Single-backend and threshold routing is a deterministic function of
-      // the workload — gate it. The cost run's split is calibrated.
+      // the workload — gate it. The cost run's split follows its
+      // calibration, which only a calibration file fixes.
       out << "      \"routed\": [";
       for (int k = 0; k < core::kBackendKinds; ++k) {
         out << (k > 0 ? ", " : "") << row.report.routed[k];

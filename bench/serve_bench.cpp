@@ -3,10 +3,13 @@
 //
 // Four experiments over AlignService on the PiM backend:
 //
-//  1. Coalescing headline (gated): flood the service (every client submits
-//     its whole slice asynchronously) once with the rank-sized admission
-//     window and once with max_batch_pairs = 1 (every request dispatched
-//     alone — the no-coalescing strawman a naive RPC server would run).
+//  1. Coalescing headline (gated): flood the service once with the
+//     rank-sized admission window and once with max_batch_pairs = 1 (every
+//     request dispatched alone — the no-coalescing strawman a naive RPC
+//     server would run). One thread submits a whole number of flushes in a
+//     fixed order under a linger that cannot expire mid-flood, so every
+//     flush is full and the flushes' composition — hence the modeled
+//     device time — does not depend on host timing.
 //     `coalesced_speedup` (acceptance: >= 5x) compares *modeled device
 //     throughput* (pairs / ServiceMetrics.modeled_seconds): launches are
 //     rank-granular on the PiM, so a batch=1 flush bills a whole
@@ -81,6 +84,10 @@ Workload build_workload(std::size_t count, std::size_t length,
   return w;
 }
 
+/// Admission window of the headline floods: long enough that no flush can
+/// linger out while the flood is still being submitted.
+constexpr double kFloodLingerSeconds = 1.0;
+
 /// Arrival process of one load point.
 enum class Arrivals { kFlood, kPoisson, kBursty };
 
@@ -142,6 +149,29 @@ LoadResult run_load(core::Dispatcher& dispatcher,
   return result;
 }
 
+/// The headline flood: one thread submits at least `min_pairs` requests,
+/// rounded up to a whole number of max_batch_pairs flushes (cycling
+/// through the workload), in workload order, then waits for all of them.
+LoadResult run_flood(core::Dispatcher& dispatcher,
+                     const core::ServiceConfig& config, const Workload& w,
+                     std::size_t min_pairs) {
+  core::AlignService service(&dispatcher, config);
+  const std::size_t batch = service.config().max_batch_pairs;
+  const std::size_t n_pairs = (min_pairs + batch - 1) / batch * batch;
+  Stopwatch wall;
+  std::vector<std::future<core::ServiceResult>> inflight;
+  inflight.reserve(n_pairs);
+  for (std::size_t p = 0; p < n_pairs; ++p) {
+    inflight.push_back(service.submit(w.pairs[p % w.pairs.size()]));
+  }
+  for (auto& f : inflight) f.wait();
+  service.stop();
+  LoadResult result;
+  result.wall_seconds = wall.seconds();
+  result.metrics = service.metrics();
+  return result;
+}
+
 double achieved_per_sec(const LoadResult& r) {
   return r.wall_seconds > 0
              ? static_cast<double>(r.metrics.completed) / r.wall_seconds
@@ -172,17 +202,20 @@ int main(int argc, char** argv) {
           "latency-under-load benchmarks of the streaming alignment "
           "service: coalesced vs batch=1 throughput, open-loop latency "
           "curves, backpressure under overload, linger sweep");
-  cli.flag("pairs", std::int64_t{1024}, "pairs of the saturation flood");
+  cli.flag("pairs", std::int64_t{1024},
+           "pairs of the workload; the saturation flood rounds them up to "
+           "whole rank-sized flushes");
   cli.flag("batch1-pairs", std::int64_t{96},
            "pairs of the batch=1 reference flood (each is a full dispatch)");
   cli.flag("point-pairs", std::int64_t{256}, "requests per open-loop point");
   cli.flag("length", std::int64_t{300}, "read length");
   cli.flag("error-rate", 0.08, "per-base divergence");
-  cli.flag("clients", std::int64_t{4}, "client threads");
+  cli.flag("clients", std::int64_t{4},
+           "client threads of the open-loop, overload and linger runs");
   cli.flag("ranks", std::int64_t{2}, "modeled UPMEM ranks");
   cli.flag("threads", std::int64_t{0},
            "worker threads (0 = hardware concurrency)");
-  cli.flag("linger-ms", 2.0, "admission window of the throughput runs");
+  cli.flag("linger-ms", 2.0, "admission window of the open-loop runs");
   cli.flag("overload-queue-pairs", std::int64_t{64},
            "max_queue_pairs cap of the overload point");
   cli.flag("calibration-file", std::string(""),
@@ -226,19 +259,17 @@ int main(int argc, char** argv) {
 
   // --- 1. Coalescing headline: flood, rank-sized window vs batch=1. ---
   core::ServiceConfig coalesced_config;
-  coalesced_config.max_linger_seconds = linger;
+  coalesced_config.max_linger_seconds = kFloodLingerSeconds;
   const LoadResult coalesced =
-      run_load(dispatcher, coalesced_config, w, w.pairs.size(), clients,
-               Arrivals::kFlood, 0.0, 0, seed);
+      run_flood(dispatcher, coalesced_config, w, w.pairs.size());
   const double coalesced_tp = achieved_per_sec(coalesced);
 
   core::ServiceConfig batch1_config;
   batch1_config.max_batch_pairs = 1;
-  batch1_config.max_linger_seconds = linger;
-  const LoadResult batch1 = run_load(
-      dispatcher, batch1_config, w,
-      static_cast<std::size_t>(cli.get_int("batch1-pairs")), clients,
-      Arrivals::kFlood, 0.0, 0, seed + 1);
+  batch1_config.max_linger_seconds = kFloodLingerSeconds;
+  const LoadResult batch1 =
+      run_flood(dispatcher, batch1_config, w,
+                static_cast<std::size_t>(cli.get_int("batch1-pairs")));
   const double batch1_tp = achieved_per_sec(batch1);
   const double host_wall_ratio = batch1_tp > 0 ? coalesced_tp / batch1_tp : 0.0;
   const auto modeled_per_sec = [](const LoadResult& r) {

@@ -49,7 +49,9 @@
 # serve_bench, host_throughput, backend_bench) into a temporary directory
 # and compare against the committed baselines with scripts/bench_diff.py
 # (direction-aware, 20% tolerance; provenance/machine/scaling subtrees
-# skipped as machine-dependent).
+# skipped as machine-dependent). backend_bench routes its cost policy on
+# the checked-in bench/backend_calibration.json, so that routing is
+# reproducible.
 #
 # Usage: scripts/verify.sh [--tidy] [--bench] [preset ...]
 #        (default presets: default asan tsan)
@@ -189,8 +191,12 @@ if [ "$RUN_BENCH" -eq 1 ]; then
   python3 scripts/bench_diff.py BENCH_host.json "$BENCH_TMP/BENCH_host.json"
   echo "=== [bench] regenerate BENCH_backend.json (5-backend dispatch)"
   cmake --build --preset default -j "$JOBS" --target backend_bench
+  # The cost policy routes on the checked-in calibration, so its routed
+  # counts are gated too. The bench reads a copy: it rewrites a calibration
+  # file it cannot parse, and the checked-in one must never change.
+  cp bench/backend_calibration.json "$BENCH_TMP/backend_calibration.json"
   "$ROOT/build/bench/backend_bench" --out "$BENCH_TMP/BENCH_backend.json" \
-      >/dev/null
+      --calibration-file "$BENCH_TMP/backend_calibration.json" >/dev/null
   echo "=== [bench] diff vs committed baseline"
   python3 scripts/bench_diff.py BENCH_backend.json \
       "$BENCH_TMP/BENCH_backend.json"
