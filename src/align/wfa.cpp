@@ -368,4 +368,17 @@ std::optional<AlignResult> wfa_align(std::string_view a, std::string_view b,
   return result;
 }
 
+double wfa_estimate_cells(std::size_t len_a, std::size_t len_b,
+                          const Scoring& scoring, double divergence,
+                          std::uint64_t max_cost) {
+  // Each error costs roughly the converted mismatch penalty x = 2(a+b).
+  const double span = static_cast<double>(len_a + len_b);
+  const double penalty =
+      2.0 * static_cast<double>(scoring.match + scoring.mismatch);
+  double cost = divergence * span * 0.5 * penalty;
+  if (max_cost != 0) cost = std::min(cost, static_cast<double>(max_cost));
+  const double width = std::min(2.0 * cost + 1.0, span);
+  return std::max(span, cost * width);
+}
+
 }  // namespace pimnw::align

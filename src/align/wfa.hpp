@@ -14,6 +14,7 @@
 //   score = (a·(m+n) - cost) / 2           (Eizenga & Paten 2022).
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string_view>
 
@@ -43,5 +44,14 @@ std::optional<Score> wfa_score(std::string_view a, std::string_view b,
 std::optional<AlignResult> wfa_align(std::string_view a, std::string_view b,
                                      const Scoring& scoring,
                                      const WfaOptions& options = {});
+
+/// Expected wavefront cells of aligning a (len_a, len_b) pair whose inputs
+/// diverge by `divergence` per base — the WFA backends' work model. The
+/// cost s ≈ divergence·(m+n)·x/2, clamped to `max_cost` when nonzero (past
+/// it the aligner gives up), drives ~s wavefronts of up to min(2s+1, m+n)
+/// diagonals, never fewer cells than one pass over the sequences.
+double wfa_estimate_cells(std::size_t len_a, std::size_t len_b,
+                          const Scoring& scoring, double divergence,
+                          std::uint64_t max_cost);
 
 }  // namespace pimnw::align

@@ -1,12 +1,11 @@
 #include "core/backend.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <exception>
-#include <thread>
+#include <iterator>
+#include <utility>
 
 #include "core/load_balance.hpp"
-#include "core/wfa_kernel.hpp"
+#include "core/pim_kernel.hpp"
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
@@ -14,6 +13,19 @@
 
 namespace pimnw::core {
 namespace {
+
+/// Simulation wall-clock throughput the PiM backends' estimates assume, in
+/// kernel work-model cells per second: the dispatcher routes on host wall
+/// time, and the simulator *is* the host cost of these backends.
+/// Dispatcher::calibrate scales every estimate to the machine.
+constexpr double kSimCellsPerSecond = 400e6;
+/// Banded cells per second of the scalar KSW2-like kernel (one pair).
+constexpr double kKsw2CellsPerSecond = 150e6;
+/// Wavefront cells per second of the host WFA aligner.
+constexpr double kWfaCellsPerSecond = 150e6;
+/// Divergence prior of a PiM backend not built as a PimWfaBackend (the NW
+/// kernel's work model ignores it).
+constexpr double kDefaultDivergence = 0.05;
 
 /// Fold one run's RunReport into an accumulated one: additive fields sum,
 /// ratio fields combine as batch-weighted means, makespans add (submissions
@@ -46,30 +58,42 @@ void merge_run_report(RunReport& into, const RunReport& add) {
   into.total_dma_bytes += add.total_dma_bytes;
 }
 
+/// The body of every drain(): wait out each outstanding ticket of
+/// `tickets` (rethrowing the first failure), then hand out and reset the
+/// accumulated report. `mutex` guards `tickets` and `accum`.
+template <typename TicketMap>
+BackendReport drain_tickets(AlignerBackend& backend, std::mutex& mutex,
+                            const TicketMap& tickets, BackendReport& accum) {
+  for (;;) {
+    AlignerBackend::Ticket ticket;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (tickets.empty()) break;
+      ticket = tickets.begin()->first;
+    }
+    (void)backend.wait(ticket);
+  }
+  std::lock_guard<std::mutex> lock(mutex);
+  BackendReport report = std::exchange(accum, BackendReport{});
+  report.kind = backend.kind();
+  return report;
+}
+
 }  // namespace
 
+/// Registry names, indexed by BackendKind.
+constexpr const char* kBackendKindNames[kBackendKinds] = {
+    "pim", "cpu", "wfa", "session", "pimwfa"};
+
 const char* backend_kind_name(BackendKind kind) {
-  switch (kind) {
-    case BackendKind::kPim:
-      return "pim";
-    case BackendKind::kCpu:
-      return "cpu";
-    case BackendKind::kWfa:
-      return "wfa";
-    case BackendKind::kSession:
-      return "session";
-    case BackendKind::kPimWfa:
-      return "pimwfa";
-  }
-  return "?";
+  const auto k = static_cast<std::size_t>(kind);
+  return k < std::size(kBackendKindNames) ? kBackendKindNames[k] : "?";
 }
 
 std::optional<BackendKind> parse_backend_kind(std::string_view name) {
-  if (name == "pim") return BackendKind::kPim;
-  if (name == "cpu") return BackendKind::kCpu;
-  if (name == "wfa") return BackendKind::kWfa;
-  if (name == "session") return BackendKind::kSession;
-  if (name == "pimwfa") return BackendKind::kPimWfa;
+  for (int k = 0; k < kBackendKinds; ++k) {
+    if (name == kBackendKindNames[k]) return static_cast<BackendKind>(k);
+  }
   return std::nullopt;
 }
 
@@ -198,7 +222,6 @@ std::vector<PairOutput> PoolBackend::wait(Ticket ticket) {
 
 void PoolBackend::account(const Pending& pending) {
   ++accum_.submissions;
-  accum_.kind = kind();
   accum_.total_pairs += pending.pairs.size();
   accum_.aligned += pending.aligned.load(std::memory_order_relaxed);
   accum_.total_cells += pending.cells.load(std::memory_order_relaxed);
@@ -210,26 +233,18 @@ void PoolBackend::account(const Pending& pending) {
 }
 
 BackendReport PoolBackend::drain() {
-  for (;;) {
-    Ticket ticket;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (pending_.empty()) break;
-      ticket = pending_.begin()->first;
-    }
-    (void)wait(ticket);  // rethrows the first failure of that ticket
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  BackendReport report = accum_;
-  report.kind = kind();
-  accum_ = BackendReport{};
-  return report;
+  return drain_tickets(*this, mutex_, pending_, accum_);
 }
 
 // ----------------------------------------------------------------- PimBackend
 
 PimBackend::PimBackend(Config config)
-    : config_(std::move(config)), aligner_(config_.aligner) {}
+    : PimBackend(std::move(config), kDefaultDivergence) {}
+
+PimBackend::PimBackend(Config config, double expected_divergence)
+    : config_(std::move(config)),
+      expected_divergence_(expected_divergence),
+      aligner_(config_.aligner) {}
 
 PimBackend::~PimBackend() {
   PIMNW_CHECK_MSG(queued_.empty(),
@@ -241,21 +256,17 @@ BackendCapabilities PimBackend::capabilities() const {
   BackendCapabilities caps;
   caps.traceback = config_.aligner.align.traceback;
   caps.affine_gaps = true;
-  caps.max_pair_length = 0;
+  caps.max_pair_length = kernel_for(config_.aligner).max_seq_bases();
   caps.modeled_time = true;
   return caps;
 }
 
 double PimBackend::estimate_seconds(std::size_t len_a,
                                     std::size_t len_b) const {
-  // The dispatcher routes on host wall-clock, and the host cost of this
-  // backend is the simulation itself — charged with the same W(m,n) =
-  // (m+n)·w workload model the LPT balancer uses (§4.1.2).
-  const std::uint64_t cells = pair_workload(
-      len_a, len_b,
-      static_cast<std::uint64_t>(config_.aligner.align.band_width));
-  return static_cast<double>(cells) / config_.sim_cells_per_second *
-         cost_scale();
+  const double cells = kernel_for(config_.aligner)
+                           .estimate_cells(len_a, len_b, config_.aligner.align,
+                                           expected_divergence_);
+  return cells / kSimCellsPerSecond * cost_scale();
 }
 
 AlignerBackend::Ticket PimBackend::submit(std::span<const PairInput> pairs) {
@@ -271,145 +282,75 @@ std::vector<PairOutput> PimBackend::wait(Ticket ticket) {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = queued_.find(ticket);
     PIMNW_CHECK_MSG(it != queued_.end(),
-                    "PimBackend::wait: unknown or already-waited ticket");
+                    backend_kind_name(kind())
+                        << " backend wait: unknown or already-waited ticket");
     pairs = it->second;
     queued_.erase(it);
   }
-  PIMNW_TRACE_SPAN("pim backend batch");
+  PIMNW_TRACE_SPAN(std::string(backend_kind_name(kind())) + " backend batch");
   Stopwatch watch;
   std::vector<PairOutput> outputs;
-  const RunReport report = aligner_.align_pairs(pairs, &outputs);
+  const RunReport report = run(pairs, &outputs);
   const double wall = watch.seconds();
 
   std::lock_guard<std::mutex> lock(mutex_);
   ++accum_.submissions;
-  accum_.kind = kind();  // kPim, or kPimWfa in the subclass
   accum_.total_pairs += pairs.size();
   for (const PairOutput& output : outputs) {
     if (output.ok) ++accum_.aligned;
   }
   accum_.measured_seconds += wall;
-  accum_.modeled_seconds += report.makespan_seconds;
-  merge_run_report(accum_.pim, report);
+  fold(report, accum_);
   return outputs;
 }
 
+RunReport PimBackend::run(std::span<const PairInput> pairs,
+                          std::vector<PairOutput>* outputs) {
+  return aligner_.align_pairs(pairs, outputs);
+}
+
+void PimBackend::fold(const RunReport& run, BackendReport& accum) {
+  accum.modeled_seconds += run.makespan_seconds;
+  merge_run_report(accum.pim, run);
+}
+
 BackendReport PimBackend::drain() {
-  for (;;) {
-    Ticket ticket;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (queued_.empty()) break;
-      ticket = queued_.begin()->first;
-    }
-    (void)wait(ticket);
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  BackendReport report = accum_;
-  report.kind = kind();
-  accum_ = BackendReport{};
-  return report;
+  return drain_tickets(*this, mutex_, queued_, accum_);
 }
 
 // ------------------------------------------------------------- PimWfaBackend
 
 PimWfaBackend::PimWfaBackend(Config config)
-    : PimBackend([&config] {
-        PimBackend::Config base;
-        base.aligner = std::move(config.aligner);
-        base.aligner.kernel = &wfa_kernel();
-        base.sim_cells_per_second = config.sim_cells_per_second;
-        return base;
-      }()),
-      expected_divergence_(config.expected_divergence),
-      sim_cells_per_second_(config.sim_cells_per_second) {}
-
-BackendCapabilities PimWfaBackend::capabilities() const {
-  BackendCapabilities caps;
-  caps.traceback = aligner_config().align.traceback;
-  caps.affine_gaps = true;
-  caps.max_pair_length = kWfaMaxSeqBases;  // WRAM-resident sequences
-  caps.modeled_time = true;
-  return caps;
-}
-
-double PimWfaBackend::estimate_cells(std::size_t len_a,
-                                     std::size_t len_b) const {
-  // Modeled alignment cost: one error per expected_divergence bases at the
-  // converted mismatch penalty x = 2(a+b), clamped to the configured cost
-  // cap (beyond it the kernel gives up, so no more work accrues). The sweep
-  // touches ~s wavefronts of up to min(2s+1, m+n) diagonals — never fewer
-  // cells than the one pass the extend loop makes over similar sequences.
-  const align::Scoring& scoring = aligner_config().align.scoring;
-  const double span = static_cast<double>(len_a + len_b);
-  const double penalty =
-      2.0 * static_cast<double>(scoring.match + scoring.mismatch);
-  double cost = expected_divergence_ * span * 0.5 * penalty;
-  const std::uint64_t cap = aligner_config().align.wfa_max_cost;
-  if (cap != 0) cost = std::min(cost, static_cast<double>(cap));
-  const double width = std::min(2.0 * cost + 1.0, span);
-  return std::max(span, cost * width);
-}
-
-double PimWfaBackend::estimate_seconds(std::size_t len_a,
-                                       std::size_t len_b) const {
-  return estimate_cells(len_a, len_b) / sim_cells_per_second_ * cost_scale();
-}
+    : PimBackend(
+          [&config] {
+            PimBackend::Config base{std::move(config.aligner)};
+            base.aligner.kernel = &wfa_kernel();
+            return base;
+          }(),
+          config.expected_divergence) {}
 
 // ------------------------------------------------------------- SessionBackend
 
-SessionBackend::SessionBackend(Config config) : config_(std::move(config)) {
-  for (std::size_t i = 0; i < config_.db.size(); ++i) {
+SessionBackend::SessionBackend(Config config)
+    : PimBackend({config.aligner}),
+      session_(std::make_unique<DbSession>(config.db,
+                                           std::move(config.aligner))) {
+  const std::vector<std::string>& db = session_->db();
+  for (std::size_t i = 0; i < db.size(); ++i) {
     // First occurrence wins for duplicate sequences — identical content
     // aligns identically, so any index with that content is correct.
-    index_.emplace(std::string_view(config_.db[i]),
-                   static_cast<std::uint32_t>(i));
+    index_.emplace(std::string_view(db[i]), static_cast<std::uint32_t>(i));
   }
-  session_ = std::make_unique<DbSession>(config_.db, config_.aligner);
-}
-
-SessionBackend::~SessionBackend() {
-  PIMNW_CHECK_MSG(queued_.empty(),
-                  "SessionBackend destroyed with submitted batches not yet "
-                  "waited/drained");
 }
 
 BackendCapabilities SessionBackend::capabilities() const {
-  BackendCapabilities caps;
+  BackendCapabilities caps = PimBackend::capabilities();
   caps.traceback = false;  // sessions are score-only
-  caps.affine_gaps = true;
-  caps.max_pair_length = 0;
-  caps.modeled_time = true;
   return caps;
 }
 
-double SessionBackend::estimate_seconds(std::size_t len_a,
-                                        std::size_t len_b) const {
-  const std::uint64_t cells = pair_workload(
-      len_a, len_b,
-      static_cast<std::uint64_t>(config_.aligner.align.band_width));
-  return static_cast<double>(cells) / config_.sim_cells_per_second *
-         cost_scale();
-}
-
-AlignerBackend::Ticket SessionBackend::submit(
-    std::span<const PairInput> pairs) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const Ticket ticket = next_ticket_++;
-  queued_.emplace(ticket, pairs);
-  return ticket;
-}
-
-std::vector<PairOutput> SessionBackend::wait(Ticket ticket) {
-  std::span<const PairInput> pairs;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = queued_.find(ticket);
-    PIMNW_CHECK_MSG(it != queued_.end(),
-                    "SessionBackend::wait: unknown or already-waited ticket");
-    pairs = it->second;
-    queued_.erase(it);
-  }
+RunReport SessionBackend::run(std::span<const PairInput> pairs,
+                              std::vector<PairOutput>* outputs) {
   // Resolve the views against the resident database: only index pairs cross
   // the modeled bus.
   std::vector<IndexPair> indices;
@@ -422,45 +363,16 @@ std::vector<PairOutput> SessionBackend::wait(Ticket ticket) {
                     "session database");
     indices.push_back({a->second, b->second});
   }
-  PIMNW_TRACE_SPAN("session backend batch");
-  Stopwatch watch;
-  std::vector<PairOutput> outputs;
-  const RunReport cumulative = session_->align_pairs(indices, &outputs);
-  const double wall = watch.seconds();
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++accum_.submissions;
-  accum_.kind = BackendKind::kSession;
-  accum_.total_pairs += pairs.size();
-  for (const PairOutput& output : outputs) {
-    if (output.ok) ++accum_.aligned;
-  }
-  accum_.measured_seconds += wall;
-  // The session report is cumulative (that is the point — the broadcast
-  // amortizes), so fold only this wait's makespan delta and keep the
-  // lifetime totals as the pim report.
-  accum_.modeled_seconds += cumulative.makespan_seconds - reported_makespan_;
-  reported_makespan_ = cumulative.makespan_seconds;
-  accum_.pim = cumulative;
-  return outputs;
+  return session_->align_pairs(indices, outputs);
 }
 
-BackendReport SessionBackend::drain() {
-  for (;;) {
-    Ticket ticket;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (queued_.empty()) break;
-      ticket = queued_.begin()->first;
-    }
-    (void)wait(ticket);
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  BackendReport report = accum_;
-  report.kind = BackendKind::kSession;
-  report.pim = session_->finish();  // always the current cumulative totals
-  accum_ = BackendReport{};
-  return report;
+void SessionBackend::fold(const RunReport& run, BackendReport& accum) {
+  // The session report is cumulative (that is the point — the broadcast
+  // amortizes), so fold only this batch's makespan delta and keep the
+  // lifetime totals as the pim report.
+  accum.modeled_seconds += run.makespan_seconds - reported_makespan_;
+  reported_makespan_ = run.makespan_seconds;
+  accum.pim = run;
 }
 
 // ----------------------------------------------------------------- CpuBackend
@@ -481,7 +393,7 @@ double CpuBackend::estimate_seconds(std::size_t len_a,
                                     std::size_t len_b) const {
   const std::uint64_t cells = pair_workload(
       len_a, len_b, static_cast<std::uint64_t>(config_.options.band_width));
-  return static_cast<double>(cells) / config_.cells_per_second * cost_scale();
+  return static_cast<double>(cells) / kKsw2CellsPerSecond * cost_scale();
 }
 
 PairOutput CpuBackend::align_one(const PairInput& pair) const {
@@ -510,24 +422,12 @@ BackendCapabilities WfaBackend::capabilities() const {
   return caps;
 }
 
-double WfaBackend::estimate_cells(std::size_t len_a, std::size_t len_b) const {
-  // Modeled alignment cost: one error per expected_divergence bases, each
-  // costing roughly the converted mismatch penalty x = 2(a+b) (see
-  // align/wfa.hpp). The wavefront sweep then touches ~s wavefronts of up to
-  // min(2s+1, m+n) diagonals each, never fewer cells than one pass over
-  // the sequences.
-  const double span = static_cast<double>(len_a + len_b);
-  const double penalty =
-      2.0 * static_cast<double>(config_.scoring.match + config_.scoring.mismatch);
-  const double cost = config_.expected_divergence * span * 0.5 * penalty;
-  const double width = std::min(2.0 * cost + 1.0, span);
-  return std::max(span, cost * width);
-}
-
 double WfaBackend::estimate_seconds(std::size_t len_a,
                                     std::size_t len_b) const {
-  return estimate_cells(len_a, len_b) / config_.cells_per_second *
-         cost_scale();
+  return align::wfa_estimate_cells(len_a, len_b, config_.scoring,
+                                   config_.expected_divergence,
+                                   config_.options.max_cost) /
+         kWfaCellsPerSecond * cost_scale();
 }
 
 PairOutput WfaBackend::align_one(const PairInput& pair) const {
@@ -551,8 +451,9 @@ PairOutput WfaBackend::align_one(const PairInput& pair) const {
       output.score = *score;
       // Score-only WFA does not report a cell count; charge the modeled
       // estimate so throughput stays comparable.
-      output.cells = static_cast<std::uint64_t>(
-          estimate_cells(pair.a.size(), pair.b.size()));
+      output.cells = static_cast<std::uint64_t>(align::wfa_estimate_cells(
+          pair.a.size(), pair.b.size(), config_.scoring,
+          config_.expected_divergence, config_.options.max_cost));
     }
   }
   return output;

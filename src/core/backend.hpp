@@ -13,10 +13,11 @@
 // Concurrency model: submit() may start executing immediately on the shared
 // work-stealing pool (the host backends post chunk jobs), so several
 // backends make progress at once; wait() blocks — helping the pool — until
-// one ticket's outputs are ready. PimBackend is the exception: its
-// execution engine must run from outside the pool, so its submit() only
-// enqueues and the simulation happens inside wait() on the calling thread,
-// while the other backends' jobs keep flowing on the workers underneath.
+// one ticket's outputs are ready. The PiM backends are the exception: their
+// execution engine must run from outside the pool, so PimBackend's submit()
+// only enqueues and the simulation happens inside wait() on the calling
+// thread, while the other backends' jobs keep flowing on the workers
+// underneath.
 #pragma once
 
 #include <atomic>
@@ -78,11 +79,12 @@ struct BackendReport {
   /// DP / wavefront cells computed on the host (measured backends).
   std::uint64_t total_cells = 0;
   double cells_per_second = 0.0;  // total_cells / measured_seconds
-  /// Full PiM orchestration report (PimBackend and SessionBackend). For
-  /// PimBackend it is merged over submissions (additive fields summed,
-  /// ratio fields batch-weighted); for SessionBackend it is the session's
-  /// *cumulative* report — the one-time database broadcast amortizes across
-  /// submissions, so per-submission deltas would misattribute it.
+  /// Full PiM orchestration report (the PiM backends). For PimBackend it is
+  /// merged over submissions (additive fields summed, ratio fields
+  /// batch-weighted); for SessionBackend it is the session's *cumulative*
+  /// report as of its last batch — the one-time database broadcast
+  /// amortizes across submissions, so per-submission deltas would
+  /// misattribute it.
   RunReport pim;
 };
 
@@ -160,19 +162,19 @@ class PoolBackend : public AlignerBackend {
   BackendReport accum_;
 };
 
-/// The paper's system behind the backend interface: modeled timeline,
-/// bit-identical outputs to PimAligner::align_pairs (backend_test pins
-/// this). Stats/trace plumbing flows through untouched — attach a
-/// StatsCollector via PimAlignerConfig::stats as before.
+/// The paper's system behind the backend interface — the one PiM backend:
+/// it runs whichever PimKernel its aligner config names, with a modeled
+/// timeline and outputs bit-identical to PimAligner::align_pairs
+/// (backend_test pins this). The kernel supplies what differs by algorithm:
+/// the work model behind estimate_seconds and the longest admissible
+/// sequence. submit() only enqueues; wait() runs the batch on the calling
+/// thread, because the execution engine must run from outside the pool.
+/// Stats/trace plumbing flows through untouched — attach a StatsCollector
+/// via PimAlignerConfig::stats as before.
 class PimBackend : public AlignerBackend {
  public:
   struct Config {
     PimAlignerConfig aligner;
-    /// Simulation wall-clock throughput assumed by estimate_seconds, in
-    /// banded cells per second (the dispatcher routes on host wall time —
-    /// the simulator *is* the host cost of this backend). Calibrate with
-    /// Dispatcher::calibrate for real machines.
-    double sim_cells_per_second = 400e6;
   };
 
   explicit PimBackend(Config config);
@@ -181,14 +183,29 @@ class PimBackend : public AlignerBackend {
   BackendKind kind() const override { return BackendKind::kPim; }
   BackendCapabilities capabilities() const override;
   double estimate_seconds(std::size_t len_a, std::size_t len_b) const override;
-  Ticket submit(std::span<const PairInput> pairs) override;
-  std::vector<PairOutput> wait(Ticket ticket) override;
-  BackendReport drain() override;
+  Ticket submit(std::span<const PairInput> pairs) final;
+  std::vector<PairOutput> wait(Ticket ticket) final;
+  BackendReport drain() final;
 
   const PimAlignerConfig& aligner_config() const { return config_.aligner; }
 
+ protected:
+  /// `expected_divergence` is the kernel's work-model prior (see
+  /// PimKernel::estimate_cells).
+  PimBackend(Config config, double expected_divergence);
+
+  /// Align one waited batch on the calling thread and return its modeled
+  /// report.
+  virtual RunReport run(std::span<const PairInput> pairs,
+                        std::vector<PairOutput>* outputs);
+  /// Fold run()'s report into `accum` (backend mutex held): add its
+  /// makespan to the modeled seconds and merge it into accum.pim —
+  /// additive fields summed, ratio fields batch-weighted.
+  virtual void fold(const RunReport& run, BackendReport& accum);
+
  private:
   Config config_;
+  double expected_divergence_;
   PimAligner aligner_;
   std::mutex mutex_;
   Ticket next_ticket_ = 1;
@@ -196,12 +213,11 @@ class PimBackend : public AlignerBackend {
   BackendReport accum_;
 };
 
-/// The PiM-WFA kernel (core/wfa_kernel.hpp) behind the backend interface:
-/// the same modeled PiM machine as PimBackend, running the wavefront kernel
-/// instead of banded NW. Work is cost-proportional, so estimate_seconds
-/// carries a divergence prior like the host WfaBackend — the dispatcher can
-/// now express "similar pairs to PiM-WFA, divergent pairs to PiM-NW" routes
-/// entirely on the modeled machine.
+/// PimBackend running the PiM-WFA kernel (core/wfa_kernel.hpp) instead of
+/// banded NW. Its work is cost-proportional, so the estimate carries a
+/// divergence prior like the host WfaBackend — the dispatcher can express
+/// "similar pairs to PiM-WFA, divergent pairs to PiM-NW" routes entirely on
+/// the modeled machine.
 class PimWfaBackend : public PimBackend {
  public:
   struct Config {
@@ -211,25 +227,11 @@ class PimWfaBackend : public PimBackend {
     /// Expected per-base divergence of the inputs (drives the modeled
     /// alignment cost, hence the wavefront work estimate).
     double expected_divergence = 0.05;
-    /// Simulation wall-clock throughput assumed by estimate_seconds, in
-    /// wavefront cells per second; calibrate with Dispatcher::calibrate.
-    double sim_cells_per_second = 400e6;
   };
 
   explicit PimWfaBackend(Config config);
 
   BackendKind kind() const override { return BackendKind::kPimWfa; }
-  BackendCapabilities capabilities() const override;
-  double estimate_seconds(std::size_t len_a, std::size_t len_b) const override;
-
-  /// The wavefront-cell estimate underlying estimate_seconds: the modeled
-  /// cost s ≈ divergence·(m+n)·x/2 (clamped to wfa_max_cost when bounded)
-  /// drives O(s·w) work, never less than one pass over the sequences.
-  double estimate_cells(std::size_t len_a, std::size_t len_b) const;
-
- private:
-  double expected_divergence_;
-  double sim_cells_per_second_;
 };
 
 /// A persistent-database session behind the backend interface (DESIGN.md
@@ -239,45 +241,36 @@ class PimWfaBackend : public PimBackend {
 /// of the session database (resolved by content); an unknown sequence fails
 /// a check — this backend serves workloads whose pairs are drawn from a
 /// fixed set, not arbitrary inputs. Score-only by definition
-/// (capabilities().traceback == false). Like PimBackend, submit() only
-/// enqueues and the simulation runs inside wait() on the calling thread.
-class SessionBackend : public AlignerBackend {
+/// (capabilities().traceback == false).
+class SessionBackend : public PimBackend {
  public:
   struct Config {
     /// The resident database (copied into the session at construction).
     std::vector<std::string> db;
     PimAlignerConfig aligner;
-    /// Simulation wall-clock throughput assumed by estimate_seconds
-    /// (banded cells per second), as PimBackend::Config.
-    double sim_cells_per_second = 400e6;
   };
 
   explicit SessionBackend(Config config);
-  ~SessionBackend() override;
 
   BackendKind kind() const override { return BackendKind::kSession; }
   BackendCapabilities capabilities() const override;
-  double estimate_seconds(std::size_t len_a, std::size_t len_b) const override;
-  Ticket submit(std::span<const PairInput> pairs) override;
-  std::vector<PairOutput> wait(Ticket ticket) override;
-  BackendReport drain() override;
 
   /// The underlying session (e.g. for align_all_vs_all sweeps that bypass
   /// the pair-batch interface).
   DbSession& session() { return *session_; }
 
+ protected:
+  RunReport run(std::span<const PairInput> pairs,
+                std::vector<PairOutput>* outputs) override;
+  void fold(const RunReport& run, BackendReport& accum) override;
+
  private:
-  Config config_;
-  /// Content → database index over config_.db (keys view the owned
-  /// strings, which never move after construction).
-  std::map<std::string_view, std::uint32_t> index_;
   std::unique_ptr<DbSession> session_;
-  std::mutex mutex_;
-  Ticket next_ticket_ = 1;
-  std::map<Ticket, std::span<const PairInput>> queued_;
-  BackendReport accum_;
-  /// Session makespan already folded into accum_.modeled_seconds — the
-  /// session report is cumulative, so each wait() adds only its delta.
+  /// Content → database index (keys view the session's own copy of the
+  /// database, which never moves).
+  std::map<std::string_view, std::uint32_t> index_;
+  /// Session makespan already folded into the modeled seconds — the
+  /// session report is cumulative, so each batch adds only its delta.
   double reported_makespan_ = 0.0;
 };
 
@@ -288,9 +281,6 @@ class CpuBackend : public PoolBackend {
   struct Config {
     align::Scoring scoring = align::default_scoring();
     baseline::Ksw2Options options;
-    /// Throughput assumed by estimate_seconds (banded cells per second,
-    /// single pair; the KSW2-like kernel is scalar). Calibratable.
-    double cells_per_second = 150e6;
   };
 
   explicit CpuBackend(Config config, ThreadPool* pool = nullptr);
@@ -319,8 +309,6 @@ class WfaBackend : public PoolBackend {
     /// Expected per-base divergence of the inputs — WFA's work grows with
     /// the alignment cost, so the estimate needs an error-rate prior.
     double expected_divergence = 0.05;
-    /// Wavefront cells per second assumed by estimate_seconds.
-    double cells_per_second = 150e6;
   };
 
   explicit WfaBackend(Config config, ThreadPool* pool = nullptr);
@@ -328,11 +316,6 @@ class WfaBackend : public PoolBackend {
   BackendKind kind() const override { return BackendKind::kWfa; }
   BackendCapabilities capabilities() const override;
   double estimate_seconds(std::size_t len_a, std::size_t len_b) const override;
-
-  /// The wavefront-cell estimate underlying estimate_seconds: the modeled
-  /// alignment cost s ≈ divergence·(m+n)·(mean penalty) drives O((m+n)·s)
-  /// work (exposed for the dispatcher's workload accounting and tests).
-  double estimate_cells(std::size_t len_a, std::size_t len_b) const;
 
  protected:
   PairOutput align_one(const PairInput& pair) const override;

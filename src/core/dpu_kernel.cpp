@@ -10,6 +10,7 @@
 #include "align/scoring.hpp"
 #include "align/traceback.hpp"
 #include "core/kernel_simd.hpp"
+#include "core/load_balance.hpp"
 #include "core/mram_layout.hpp"
 #include "dna/packed_sequence.hpp"
 #include "util/check.hpp"
@@ -980,6 +981,15 @@ std::uint64_t NwKernel::pair_scratch_bytes(std::uint64_t len_a,
   // One window-origin word plus one nibble-packed BT row per anti-diagonal.
   const std::uint64_t diags = len_a + len_b + 1;
   return align8(align8(diags * 4) + diags * bt_row_bytes(config.band_width));
+}
+
+double NwKernel::estimate_cells(std::uint64_t len_a, std::uint64_t len_b,
+                                const AlignConfig& config,
+                                double expected_divergence) const {
+  (void)expected_divergence;  // banded work does not depend on the cost
+  // The W(m,n) = (m+n)·w workload model the LPT balancer uses (§4.1.2).
+  return static_cast<double>(pair_workload(
+      len_a, len_b, static_cast<std::uint64_t>(config.band_width)));
 }
 
 std::unique_ptr<KernelWorkspace> NwKernel::make_workspace() const {

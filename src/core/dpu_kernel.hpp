@@ -89,6 +89,10 @@ class NwKernel final : public PimKernel {
   std::uint64_t pair_scratch_bytes(std::uint64_t len_a, std::uint64_t len_b,
                                    const AlignConfig& config) const override;
 
+  double estimate_cells(std::uint64_t len_a, std::uint64_t len_b,
+                        const AlignConfig& config,
+                        double expected_divergence) const override;
+
   std::unique_ptr<KernelWorkspace> make_workspace() const override;
   std::unique_ptr<upmem::DpuProgram> make_program(
       const PimAlignerConfig& config, KernelWorkspace* workspace) const override;

@@ -12,7 +12,10 @@
 //    (a layout-level concern) are owned by the kernel.
 //  * admission — pair_admissible rejects pairs whose WRAM working set the
 //    kernel cannot host (MRAM admission stays generic via
-//    single_pair_image_bytes, which already consults the kernel's hooks).
+//    single_pair_image_bytes, which already consults the kernel's hooks);
+//    max_seq_bases publishes its length limit.
+//  * routing — estimate_cells is the kernel's work model, which
+//    PimBackend turns into the dispatcher's cost estimate.
 //  * execution — make_program builds the upmem::DpuProgram for one launch;
 //    make_workspace builds the per-worker host-side scratch arena the
 //    engine keeps per thread (purely host wall-clock, never modeled).
@@ -100,6 +103,19 @@ class PimKernel {
   /// Whether the kernel can run kFlagSession rounds (resident database,
   /// compact entries/results, score-only).
   virtual bool supports_session() const { return true; }
+
+  /// Longest single sequence the kernel accepts (0 = unbounded): the
+  /// length part of pair_admissible.
+  virtual std::uint64_t max_seq_bases() const { return 0; }
+
+  // --- routing ---
+
+  /// Host work, in cells, of simulating one (len_a, len_b) pair — what
+  /// PimBackend::estimate_seconds charges. `expected_divergence` is the
+  /// inputs' per-base divergence prior, for cost-proportional kernels.
+  virtual double estimate_cells(std::uint64_t len_a, std::uint64_t len_b,
+                                const AlignConfig& config,
+                                double expected_divergence) const = 0;
 
   // --- execution ---
 

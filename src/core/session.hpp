@@ -133,6 +133,8 @@ class DbSession {
   DbSession& operator=(const DbSession&) = delete;
 
   std::size_t size() const { return db_.size(); }
+  /// The resident database, in index order.
+  const std::vector<std::string>& db() const { return db_; }
   const PimAlignerConfig& config() const { return config_; }
   /// Bytes of the resident database image (per bank; the broadcast moves
   /// this times nr_dpus over the wire).

@@ -846,6 +846,13 @@ bool WfaKernel::pair_admissible(std::uint64_t len_a, std::uint64_t len_b,
          upmem::kWramBytes;
 }
 
+double WfaKernel::estimate_cells(std::uint64_t len_a, std::uint64_t len_b,
+                                 const AlignConfig& config,
+                                 double expected_divergence) const {
+  return align::wfa_estimate_cells(len_a, len_b, config.scoring,
+                                   expected_divergence, config.wfa_max_cost);
+}
+
 std::unique_ptr<upmem::DpuProgram> WfaKernel::make_program(
     const PimAlignerConfig& config, KernelWorkspace* workspace) const {
   (void)workspace;  // no cross-launch host scratch

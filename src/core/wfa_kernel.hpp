@@ -100,6 +100,11 @@ class WfaKernel final : public PimKernel {
   bool pair_admissible(std::uint64_t len_a, std::uint64_t len_b,
                        const AlignConfig& config,
                        const PoolConfig& pools) const override;
+  std::uint64_t max_seq_bases() const override { return kWfaMaxSeqBases; }
+
+  double estimate_cells(std::uint64_t len_a, std::uint64_t len_b,
+                        const AlignConfig& config,
+                        double expected_divergence) const override;
 
   std::unique_ptr<upmem::DpuProgram> make_program(
       const PimAlignerConfig& config,
