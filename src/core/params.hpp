@@ -98,6 +98,14 @@ struct PimAlignerConfig {
   int bt_stream_passes = 1;
 };
 
+/// Pairs per rank-batch: `batch_pairs` when set, else rank-sized — every
+/// pool of every DPU of a rank sees two pairs.
+inline std::size_t rank_batch_pairs(std::size_t batch_pairs, int pools) {
+  return batch_pairs != 0 ? batch_pairs
+                          : static_cast<std::size_t>(upmem::kDpusPerRank) *
+                                static_cast<std::size_t>(pools) * 2;
+}
+
 /// One-line JSON object capturing the modeled-relevant configuration, used
 /// by the provenance stamp on stats/bench reports (DESIGN.md §12).
 std::string params_json(const PimAlignerConfig& config);

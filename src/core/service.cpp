@@ -7,7 +7,6 @@
 #include <ostream>
 #include <utility>
 
-#include "upmem/arch.hpp"
 #include "util/check.hpp"
 #include "util/flight_recorder.hpp"
 #include "util/logging.hpp"
@@ -16,6 +15,14 @@
 namespace pimnw::core {
 
 namespace {
+
+/// Deadline-miss SLO objective: the target fraction of admitted requests
+/// that resolve without kDeadlineExceeded. Burn rate 1.0 = consuming the
+/// error budget exactly as fast as the objective allows.
+constexpr double kSloObjective = 0.999;
+/// Sliding windows of the burn-rate pair.
+constexpr double kSloShortWindowSeconds = 60.0;
+constexpr double kSloLongWindowSeconds = 600.0;
 
 // Prometheus series for the service front door (DESIGN.md §17). Created on
 // first use; the handles are stable for the process lifetime. All pure
@@ -171,31 +178,26 @@ void write_service_json(std::ostream& out, const ServiceMetrics& metrics) {
 }
 
 AlignService::AlignService(Dispatcher* dispatcher, ServiceConfig config)
-    : dispatcher_(dispatcher), config_(config) {
+    : dispatcher_(dispatcher),
+      config_(config),
+      slo_short_(kSloShortWindowSeconds, kSloObjective),
+      slo_long_(kSloLongWindowSeconds, kSloObjective) {
   PIMNW_CHECK_MSG(dispatcher_ != nullptr, "service needs a dispatcher");
   if (config_.max_batch_pairs == 0) {
-    // Rank-sized auto, the same formula PimAligner::align_pairs uses for
-    // its auto batch: every pool of every DPU of a rank sees two pairs.
-    std::size_t batch = static_cast<std::size_t>(upmem::kDpusPerRank) * 6 * 2;
     // kind() == kPim does not imply the concrete type: a forwarding
-    // wrapper may report it, and then the default above stands.
-    if (const auto* pim = dynamic_cast<const PimBackend*>(
-            dispatcher_->backend(BackendKind::kPim))) {
-      batch = static_cast<std::size_t>(upmem::kDpusPerRank) *
-              static_cast<std::size_t>(pim->aligner_config().pool.pools) * 2;
-    }
-    config_.max_batch_pairs = batch;
+    // wrapper may report it, and then the default config's batch stands.
+    const auto* pim = dynamic_cast<const PimBackend*>(
+        dispatcher_->backend(BackendKind::kPim));
+    config_.max_batch_pairs =
+        pim != nullptr
+            ? rank_batch_pairs(pim->aligner_config().batch_pairs,
+                               pim->aligner_config().pool.pools)
+            : rank_batch_pairs(0, PoolConfig{}.pools);
   }
   PIMNW_CHECK_MSG(config_.max_linger_seconds > 0,
                   "max_linger_seconds must be positive");
   PIMNW_CHECK_MSG(config_.latency_sample_cap > 0,
                   "latency_sample_cap must be positive");
-  PIMNW_CHECK_MSG(config_.slo_objective > 0 && config_.slo_objective < 1,
-                  "slo_objective must be in (0, 1)");
-  slo_short_ = std::make_unique<metrics::SloBurnWindow>(
-      config_.slo_short_window_seconds, config_.slo_objective);
-  slo_long_ = std::make_unique<metrics::SloBurnWindow>(
-      config_.slo_long_window_seconds, config_.slo_objective);
   coalescer_ = std::thread([this] { coalescer_main(); });
 }
 
@@ -338,12 +340,12 @@ void AlignService::record_sample_locked(std::vector<double>& samples,
 void AlignService::record_slo(double now_seconds, bool good,
                               std::size_t count) {
   if (count == 0) return;
-  slo_short_->record(now_seconds, good, count);
-  slo_long_->record(now_seconds, good, count);
+  slo_short_.record(now_seconds, good, count);
+  slo_long_.record(now_seconds, good, count);
   if (metrics::enabled()) {
     ServiceSeries& series = service_series();
-    series.burn_short.set(slo_short_->burn_rate(now_seconds));
-    series.burn_long.set(slo_long_->burn_rate(now_seconds));
+    series.burn_short.set(slo_short_.burn_rate(now_seconds));
+    series.burn_long.set(slo_long_.burn_rate(now_seconds));
   }
 }
 
@@ -450,12 +452,10 @@ void AlignService::flush(std::vector<Request*>& batch, FlushKind kind) {
     }
     busy_seconds_ += busy_seconds;
     modeled_seconds_ += modeled_seconds;
-    if (config_.collect_latencies) {
-      for (const ServiceResult& result : results) {
-        ++latency_samples_seen_;
-        record_sample_locked(queue_wait_samples_, result.queue_seconds);
-        record_sample_locked(total_latency_samples_, result.total_seconds);
-      }
+    for (const ServiceResult& result : results) {
+      ++latency_samples_seen_;
+      record_sample_locked(queue_wait_samples_, result.queue_seconds);
+      record_sample_locked(total_latency_samples_, result.total_seconds);
     }
   }
 
@@ -668,8 +668,8 @@ ServiceMetrics AlignService::metrics() const {
   m.total_latency = summarize_latencies(total_latency_samples_);
   m.latency_samples_seen = latency_samples_seen_;
   const double now = clock_.seconds();
-  m.slo_burn_short = slo_short_->burn_rate(now);
-  m.slo_burn_long = slo_long_->burn_rate(now);
+  m.slo_burn_short = slo_short_.burn_rate(now);
+  m.slo_burn_long = slo_long_.burn_rate(now);
   return m;
 }
 

@@ -65,10 +65,10 @@
 namespace pimnw::core {
 
 struct ServiceConfig {
-  /// Flush as soon as this many pairs are waiting. 0 = rank-sized auto:
-  /// kDpusPerRank × pools × 2 from the registered PiM backend's config (the
-  /// same formula PimAligner uses for its auto batch), or 768 when no PiM
-  /// backend is registered.
+  /// Flush as soon as this many pairs are waiting. 0 = the registered PiM
+  /// backend's rank-batch size (rank_batch_pairs of its batch_pairs and
+  /// pools, the rule PimAligner batches by), or the default config's when
+  /// no PimBackend is registered.
   std::size_t max_batch_pairs = 0;
   /// Flush when the oldest admitted request has waited this long, even if
   /// the batch is not full — the latency bound under light load.
@@ -82,24 +82,12 @@ struct ServiceConfig {
   /// When a cap is hit: false = reject with kQueueFull (shed load), true =
   /// block the submitting thread until capacity frees (closed-loop client).
   bool block_when_full = false;
-  /// Record per-request latency samples for metrics() quantiles. Costs one
-  /// mutex acquisition per flush (not per request); disable only for
-  /// submit-rate microbenchmarks.
-  bool collect_latencies = true;
   /// Cap on retained latency samples per series. Below the cap every sample
   /// is kept and metrics() quantiles are exact (nearest-rank, as before);
   /// past it, reservoir sampling (Algorithm R, deterministic seed) keeps a
   /// uniform subsample so a week-long run holds bounded memory. The bounded
   /// Prometheus histograms are unaffected — they see every sample.
   std::size_t latency_sample_cap = 65536;
-  /// Deadline-miss SLO objective: the target fraction of admitted requests
-  /// that resolve without kDeadlineExceeded. Burn rate 1.0 = consuming the
-  /// error budget exactly as fast as the objective allows.
-  double slo_objective = 0.999;
-  /// Sliding windows for the burn-rate pair (short = paging signal, long =
-  /// ticket signal, the standard multi-window alert shape).
-  double slo_short_window_seconds = 60.0;
-  double slo_long_window_seconds = 600.0;
   /// Deadline-storm black box: when one coalescer sweep expires at least
   /// this many deadlines (0 = disabled), dump the flight recorder to
   /// `storm_dump_path` (once per service lifetime).
@@ -168,8 +156,9 @@ struct ServiceMetrics {
   /// Samples ever recorded per series (>= the retained count once the
   /// latency_sample_cap reservoir engages).
   std::uint64_t latency_samples_seen = 0;
-  /// Deadline-miss SLO burn rates over the configured short/long windows,
-  /// evaluated at snapshot time (0 when nothing was recorded in a window).
+  /// Deadline-miss SLO burn rates over the short (60 s) and long (600 s)
+  /// windows, evaluated at snapshot time (0 when nothing was recorded in a
+  /// window).
   double slo_burn_short = 0.0;
   double slo_burn_long = 0.0;
 };
@@ -292,10 +281,10 @@ class AlignService {
   /// retain the same subsample (metrics_mutex_-guarded like the vectors).
   std::minstd_rand sample_rng_{20260809};
 
-  /// Deadline-miss burn windows (constructed from config in the ctor; the
-  /// internal mutexes make the class immovable, hence the indirection).
-  std::unique_ptr<metrics::SloBurnWindow> slo_short_;
-  std::unique_ptr<metrics::SloBurnWindow> slo_long_;
+  /// Deadline-miss burn windows: short = paging signal, long = ticket
+  /// signal, the standard multi-window alert shape.
+  metrics::SloBurnWindow slo_short_;
+  metrics::SloBurnWindow slo_long_;
   std::atomic<bool> storm_dumped_{false};
 
   std::uint64_t next_batch_id_ = 0;  // coalescer-only

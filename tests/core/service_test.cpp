@@ -365,6 +365,18 @@ TEST(ServiceBatchSize, PimKindWithoutPimBackendUsesDefault) {
   service.stop();
 }
 
+TEST(ServiceBatchSize, AutoBatchFollowsPimBatchPairs) {
+  // The auto batch is the PiM backend's own rank-batch rule, so a
+  // configured batch_pairs carries over instead of the rank-sized default.
+  PimBackend pim({small_pim_config()});
+  Dispatcher dispatcher({.policy = RoutePolicy::kSingle,
+                         .single = BackendKind::kPim},
+                        {&pim});
+  AlignService service(&dispatcher, ServiceConfig{});
+  EXPECT_EQ(service.config().max_batch_pairs, 16u);
+  service.stop();
+}
+
 TEST(ServiceCalibration, SaveLoadRoundTrip) {
   CpuBackend cpu{CpuBackend::Config{}};
   WfaBackend wfa{WfaBackend::Config{}};
