@@ -86,14 +86,20 @@ void charge_dma_chunked(upmem::PoolCost& pool, std::uint64_t bytes) {
 
 /// Sliding 2-bit-packed window over a sequence stored in MRAM.
 /// Monotonically advancing; refills itself (and charges the DMA) on demand.
+/// Each refill also decodes the loaded bytes into one code byte per base in
+/// host scratch (`decoded`, wram_bytes() * 4 bytes; free, like the other
+/// fast-path scratch), in reverse order for a `reversed` window, so the fast
+/// path reads any run of bases as a plain byte array.
 class SeqWindow {
  public:
   void init(DpuContext* ctx, upmem::PoolCost* pool, std::uint64_t wram_addr,
-            std::int64_t cap_bases) {
+            std::int64_t cap_bases, std::uint8_t* decoded, bool reversed) {
     ctx_ = ctx;
     pool_ = pool;
     wram_addr_ = wram_addr;
     cap_bases_ = cap_bases;
+    decoded_ = decoded;
+    reversed_ = reversed;
   }
 
   static std::uint64_t wram_bytes(std::int64_t band) {
@@ -141,6 +147,12 @@ class SeqWindow {
     win_loaded_ = static_cast<std::int64_t>(read_bytes) * 4;
     PIMNW_CHECK_MSG(last < win_start_ + win_loaded_,
                     "band wider than the sequence window");
+    // Decode from the WRAM bytes the refill just wrote (the padding bases
+    // past the sequence's end included; no lane ever reads them).
+    const std::uint64_t loaded = static_cast<std::uint64_t>(win_loaded_);
+    dna::decode_packed_range(ctx_->wram.raw(wram_addr_, read_bytes), 0,
+                             loaded, decoded_);
+    if (reversed_) std::reverse(decoded_, decoded_ + loaded);
   }
 
   /// 2-bit code of base `index` (must be inside the ensured range).
@@ -152,20 +164,13 @@ class SeqWindow {
     return static_cast<std::uint8_t>((byte >> (2 * (rel % 4))) & 0x3);
   }
 
-  /// Bulk-decode bases [first, last) into one code byte each (the fast
-  /// path's batched base extraction). The range must already be ensured;
-  /// charges nothing — the refill DMA was paid by ensure().
-  void decode(std::int64_t first, std::int64_t last, std::uint8_t* out) const {
-    if (last <= first) return;
-    PIMNW_DCHECK(first >= win_start_ && last <= win_start_ + win_loaded_);
-    // win_start_ is 32-base aligned, so window-relative indices keep the
-    // within-byte phase of the absolute ones.
-    const std::uint64_t rel_first =
-        static_cast<std::uint64_t>(first - win_start_);
-    const std::uint64_t rel_last = static_cast<std::uint64_t>(last - win_start_);
-    const std::uint8_t* bytes =
-        ctx_->wram.raw(wram_addr_, (rel_last + 3) / 4);
-    dna::decode_packed_range(bytes, rel_first, rel_last, out);
+  /// Decoded code of base `index` and, at p[t], of the base t steps on in
+  /// the window's order: index + t, or index - t for a reversed window. The
+  /// bases read must already be ensured; charges nothing.
+  const std::uint8_t* decoded_from(std::int64_t index) const {
+    PIMNW_DCHECK(index >= win_start_ && index < win_start_ + win_loaded_);
+    return decoded_ + (reversed_ ? win_start_ + win_loaded_ - 1 - index
+                                 : index - win_start_);
   }
 
  private:
@@ -177,6 +182,8 @@ class SeqWindow {
   std::int64_t length_ = 0;
   std::int64_t win_start_ = 0;
   std::int64_t win_loaded_ = 0;
+  std::uint8_t* decoded_ = nullptr;
+  bool reversed_ = false;
 };
 
 /// Per-pool WRAM working set, allocated once per launch (the DPU program's
@@ -202,15 +209,15 @@ struct PoolBuffers {
   // scalar loop's in-place carry dependencies, so they model nothing and
   // cost nothing (DESIGN.md "Simulator fast path"). Score snapshots carry
   // one kNegInf pad element on each side so shifted neighbour reads resolve
-  // out-of-band lanes without branches. The storage is borrowed from a
-  // KernelScratch arena shared by every pool of the launch: pairs align
-  // strictly one at a time, so pools never overlap in it.
+  // out-of-band lanes without branches. The storage (and the windows'
+  // decoded bases) is borrowed from a KernelScratch arena shared by every
+  // pool of the launch: pairs align strictly one at a time, and attach()
+  // makes each pair's first ensure() refill and re-decode, so pools never
+  // overlap in it.
   Score* snap_hp = nullptr;   // H on anti-diagonal s-1, padded
   Score* snap_h2 = nullptr;   // H on anti-diagonal s-2, padded
   Score* snap_ip = nullptr;   // I on anti-diagonal s-1, padded
   Score* snap_dp = nullptr;   // D on anti-diagonal s-1, padded
-  std::uint8_t* base_a = nullptr;  // decoded a[i-1] per interior lane
-  std::uint8_t* base_b = nullptr;  // decoded b[j-1], reversed to match
   std::uint8_t* codes = nullptr;   // unpacked BT codes per interior lane
 
   void allocate(DpuContext& ctx, upmem::PoolCost& pool, std::int64_t w,
@@ -220,8 +227,10 @@ struct PoolBuffers {
     iv = ctx.wram.alloc_array<Score>(static_cast<std::uint64_t>(w));
     dv = ctx.wram.alloc_array<Score>(static_cast<std::uint64_t>(w));
     const std::uint64_t win_bytes = SeqWindow::wram_bytes(w);
-    win_a.init(&ctx, &pool, ctx.wram.alloc(win_bytes), w + kWinSlackBases);
-    win_b.init(&ctx, &pool, ctx.wram.alloc(win_bytes), w + kWinSlackBases);
+    win_a.init(&ctx, &pool, ctx.wram.alloc(win_bytes), w + kWinSlackBases,
+               scratch.base_a.data(), /*reversed=*/false);
+    win_b.init(&ctx, &pool, ctx.wram.alloc(win_bytes), w + kWinSlackBases,
+               scratch.base_b.data(), /*reversed=*/true);
     bt_row_addr = ctx.wram.alloc(bt_row_bytes(w));
     lo_buf_addr = ctx.wram.alloc(kLoChunk * 4);
     lo_buf = ctx.wram.view<std::uint32_t>(lo_buf_addr, kLoChunk);
@@ -235,8 +244,6 @@ struct PoolBuffers {
     snap_h2 = scratch.snap_h2.data();
     snap_ip = scratch.snap_ip.data();
     snap_dp = scratch.snap_dp.data();
-    base_a = scratch.base_a.data();
-    base_b = scratch.base_b.data();
     codes = scratch.codes.data();
   }
 };
@@ -671,10 +678,11 @@ void PairAligner::compute_diag_scalar(std::int64_t s, std::int64_t lo,
 // Cycle-exact fast path. Same update as compute_diag_scalar, restructured:
 // the in-band check is hoisted (only k in [i_min-lo, i_max-lo] is visited),
 // the i==0 / j==0 boundary cells are peeled, the in-place carries are
-// replaced by padded snapshots of the previous band state, the touched bases
-// are bulk-decoded from the 2-bit windows into byte arrays (host analog of
-// the paper's cmpb4), and the interior run is handed to a branchless dense
-// sweep (AVX2 when available). The equivalence argument, per input:
+// replaced by padded snapshots of the previous band state, the bases are
+// compared from byte arrays decoded once per window refill (host analog of
+// the paper's cmpb4), the interior run is handed to a branchless dense sweep
+// (AVX2 when available), and its BT codes are packed two per byte. The
+// equivalence argument, per input:
 //   h_up     = H_prev[k+shift1-1]   (carry-free: h_prev is not written here)
 //   i_up     = I_prev[k+shift1-1]   (shift1==0: carry of old_i; ==1: old_i)
 //   h_left   = H_prev[k+shift1]
@@ -683,8 +691,9 @@ void PairAligner::compute_diag_scalar(std::int64_t s, std::int64_t lo,
 //   h_diag   = H_prev2[k+shift2-1]  (shift2==0: carry; ==1: old_h2; ==2:
 //                                    h_cur[k+1] ahead of the walk)
 // with any out-of-range index reading kNegInf — supplied here by one pad slot
-// on each side of the snapshots. Out-of-band slots are pre-filled with
-// kNegInf and BT code 0 exactly as the reference writes them.
+// on each side of the snapshots. Slots outside the interior run (out of
+// band, or peeled) get kNegInf and BT code 0 exactly as the reference writes
+// them.
 void PairAligner::compute_diag_fast(std::int64_t s, std::int64_t lo,
                                     std::int64_t shift1, std::int64_t shift2,
                                     std::int64_t i_min, std::int64_t i_max,
@@ -697,56 +706,57 @@ void PairAligner::compute_diag_fast(std::int64_t s, std::int64_t lo,
 
   // Snapshot the band state this diagonal reads before overwriting it. The
   // destination offset +1 preserves the kNegInf pads installed at allocation.
+  // H on s-2 (still in h_cur) was snapshotted one diagonal ago as that
+  // diagonal's h_prev, and neither copy has been written since, so the two
+  // H snapshots swap roles instead of copying it again. At s == 0 the swap
+  // leaves a stale snap_h2, which no lane reads: that diagonal's only cell
+  // is the peeled origin.
+  std::swap(buf_.snap_hp, buf_.snap_h2);
   std::memcpy(buf_.snap_hp + 1, h_prev.data(), ws * sizeof(Score));
-  std::memcpy(buf_.snap_h2 + 1, h_cur.data(), ws * sizeof(Score));
   std::memcpy(buf_.snap_ip + 1, buf_.iv.data(), ws * sizeof(Score));
   std::memcpy(buf_.snap_dp + 1, buf_.dv.data(), ws * sizeof(Score));
 
-  std::fill_n(h_cur.data(), ws, kNegInf);
-  std::fill_n(buf_.iv.data(), ws, kNegInf);
-  std::fill_n(buf_.dv.data(), ws, kNegInf);
+  // Interior lanes: i >= 1 and j >= 1. The i == 0 cell (only possible while
+  // lo == 0, at k == 0) and the j == 0 cell (i == s; s > 0 keeps it distinct
+  // from the origin) are peeled below.
+  const std::int64_t ilo = std::max<std::int64_t>(i_min, 1);
+  const std::int64_t ihi = (s > 0 && i_max == s) ? s - 1 : i_max;
+  const std::int64_t len = std::max<std::int64_t>(ihi - ilo + 1, 0);
+  const std::int64_t ka = ilo - lo;
+
+  // The sweep writes every interior lane, so only the slots outside
+  // [ka, ka+len) (out of band, or peeled) are reset to kNegInf here.
+  const std::size_t head = len > 0 ? static_cast<std::size_t>(ka) : 0;
+  const std::size_t tail = head + static_cast<std::size_t>(len);
+  for (Score* v : {h_cur.data(), buf_.iv.data(), buf_.dv.data()}) {
+    std::fill(v, v + head, kNegInf);
+    std::fill(v + tail, v + ws, kNegInf);
+  }
 
   if (i_min > i_max) return;
-
-  std::int64_t ilo = i_min;
-  std::int64_t ihi = i_max;
-
-  // Peel the i == 0 boundary cell (only possible while lo == 0, at k == 0).
-  if (ilo == 0) {
+  if (i_min == 0) {
     const Score h =
         (s == 0) ? 0 : -sc.gap_cost(static_cast<std::uint64_t>(s));
     h_cur[static_cast<std::size_t>(-lo)] = h;
     if (s > 0) buf_.dv[static_cast<std::size_t>(-lo)] = h;
-    ilo = 1;
   }
-  // Peel the j == 0 boundary cell (i == s); s > 0 keeps it distinct from the
-  // origin cell peeled above.
-  if (ihi == s && s > 0 && ihi >= ilo) {
+  if (s > 0 && i_max == s) {
     const Score h = -sc.gap_cost(static_cast<std::uint64_t>(s));
     h_cur[static_cast<std::size_t>(s - lo)] = h;
     buf_.iv[static_cast<std::size_t>(s - lo)] = h;
-    ihi = s - 1;
   }
+  if (len == 0) return;
 
-  const std::int64_t len = ihi - ilo + 1;
-  if (len <= 0) return;
-
-  // Bulk-decode the bases this interior run compares: a[ilo-1 .. ihi-1]
-  // ascending, b[s-ihi-1 .. s-ilo-1] reversed so lane t pairs a[ilo-1+t]
-  // with b[s-ilo-1-t].
-  buf_.win_a.decode(ilo - 1, ihi, buf_.base_a);
-  buf_.win_b.decode(s - ihi - 1, s - ilo, buf_.base_b);
-  std::reverse(buf_.base_b, buf_.base_b + len);
-
-  const std::int64_t ka = ilo - lo;
   simd::DiagSpan span{};
   span.up_h = buf_.snap_hp + 1 + ka + shift1 - 1;
   span.up_i = buf_.snap_ip + 1 + ka + shift1 - 1;
   span.left_h = buf_.snap_hp + 1 + ka + shift1;
   span.left_d = buf_.snap_dp + 1 + ka + shift1;
   span.diag_h = buf_.snap_h2 + 1 + ka + shift2 - 1;
-  span.base_a = buf_.base_a;
-  span.base_b = buf_.base_b;
+  // The windows were decoded when they were refilled, b's reversed, so lane
+  // t pairs a[ilo-1+t] with b[s-ilo-1-t] straight out of the two arrays.
+  span.base_a = buf_.win_a.decoded_from(ilo - 1);
+  span.base_b = buf_.win_b.decoded_from(s - ilo - 1);
   span.out_h = h_cur.data() + ka;
   span.out_i = buf_.iv.data() + ka;
   span.out_d = buf_.dv.data() + ka;
@@ -764,10 +774,22 @@ void PairAligner::compute_diag_fast(std::int64_t s, std::int64_t lo,
   }
 
   if (traceback_on_) {
-    for (std::int64_t t = 0; t < len; ++t) {
-      align::bt_store(bt_row, static_cast<std::uint64_t>(ka + t),
-                      buf_.codes[static_cast<std::size_t>(t)]);
+    // The row was zeroed and every lane outside [ka, ka+len) carries code 0
+    // (the peeled boundary cells too), so whole bytes are stored: a high
+    // nibble when ka is odd, two codes per byte, then a low-nibble tail.
+    const std::uint8_t* codes = buf_.codes;
+    std::uint8_t* row = bt_row + ka / 2;
+    std::int64_t rest = len;
+    if ((ka & 1) != 0) {
+      *row++ = static_cast<std::uint8_t>(codes[0] << 4);
+      ++codes;
+      --rest;
     }
+    const std::int64_t whole = rest / 2;
+    for (std::int64_t q = 0; q < whole; ++q) {
+      row[q] = static_cast<std::uint8_t>(codes[2 * q] | codes[2 * q + 1] << 4);
+    }
+    if ((rest & 1) != 0) row[whole] = codes[rest - 1];
   }
 }
 
@@ -891,16 +913,21 @@ void KernelScratch::prepare(std::int64_t band_width) {
     snap_h2.assign(ws + 2, kNegInf);
     snap_ip.assign(ws + 2, kNegInf);
     snap_dp.assign(ws + 2, kNegInf);
-    // +8 slack: the AVX2 base loads read 8 bytes per step.
-    base_a.assign(ws + 8, 0);
-    base_b.assign(ws + 8, 0);
-    codes.assign(ws + 8, 0);
+    // One byte per base of a full sequence window. The AVX2 sweep loads 8
+    // lanes only while all 8 are interior, so no lane reads past the bases
+    // ensure() loaded.
+    const std::uint64_t win_bases = SeqWindow::wram_bytes(band_width) * 4;
+    base_a.assign(win_bases, 0);
+    base_b.assign(win_bases, 0);
+    codes.assign(ws, 0);
     return;
   }
-  // Reused arena: the sweep memcpy-overwrites the interior [1, ws] before
-  // every read and never reads base/code slots past the lanes it wrote, so
-  // stale content is unreachable. The pads are the one exception — they are
-  // read but never written; re-assert them against accidental clobber.
+  // Reused arena: every snapshot interior [1, ws] a lane reads was copied
+  // earlier in the same pair (this diagonal, or the one before for H on
+  // s-2), the decoded bases come from the pair's own window refills, and no
+  // code slot is read past the lanes the sweep wrote, so stale content is
+  // unreachable. The pads are the one exception — they are read but never
+  // written; re-assert them against accidental clobber.
   snap_hp.front() = snap_hp.back() = kNegInf;
   snap_h2.front() = snap_h2.back() = kNegInf;
   snap_ip.front() = snap_ip.back() = kNegInf;

@@ -27,14 +27,15 @@
 
 namespace pimnw::core {
 
-/// Host-side fast-path scratch (the padded band snapshots and bulk-decoded
-/// base/BT byte arrays of DESIGN.md "Simulator fast path"). It models no DPU
-/// state, so one instance can be shared by every pool of a launch (pairs
-/// align strictly one at a time) and reused across launches — the execution
-/// engine keeps one per worker thread instead of reallocating ~7 vectors per
-/// DPU launch. Safe to reuse because the sweep rewrites every interior slot
-/// it reads each anti-diagonal; only the kNegInf pads persist, and prepare()
-/// re-asserts them.
+/// Host-side fast-path scratch (the padded band snapshots, the sequence
+/// windows decoded one byte per base at each refill, and the BT code bytes
+/// of DESIGN.md "Simulator fast path"). It models no DPU state, so one
+/// instance can be shared by every pool of a launch (pairs align strictly
+/// one at a time) and reused across launches — the execution engine keeps
+/// one per worker thread instead of reallocating ~7 vectors per DPU launch.
+/// Safe to reuse because the sweep rewrites every interior slot it reads
+/// each anti-diagonal and each pair's first window refill re-decodes its
+/// bases; only the kNegInf pads persist, and prepare() re-asserts them.
 struct KernelScratch {
   std::vector<align::Score> snap_hp;
   std::vector<align::Score> snap_h2;

@@ -137,5 +137,31 @@ TEST(KernelFastPathTest, LongPairsPaperBand) {
   expect_paths_agree(pairs, config, "long-score-only");
 }
 
+// The fast path decodes each sequence window once per refill (b's reversed)
+// and packs BT rows two codes per byte. Pairs of 600–2000 bp at bands 4–48
+// refill both windows many times per pair; lengths of every residue mod 4
+// put the reversed b window past the sequence's last base, and the band
+// start ka is odd on roughly half the anti-diagonals.
+TEST(KernelFastPathTest, WindowRefillsAndBytePacking) {
+  Xoshiro256 rng(16);
+  for (const std::int64_t band : {4, 5, 11, 16, 33, 48}) {
+    std::vector<std::pair<std::string, std::string>> pairs;
+    for (const std::size_t residue : {0u, 1u, 2u, 3u}) {
+      const std::size_t len = 600 + 4 * rng.below(350) + residue;
+      const std::string a = data::random_dna(len, rng);
+      data::ErrorModel errors;
+      errors.error_rate = 0.02 * static_cast<double>(rng.below(6));
+      pairs.emplace_back(a, data::mutate(a, errors, rng));
+    }
+    PimAlignerConfig config;
+    config.nr_ranks = 1;
+    config.align.band_width = band;
+    const std::string tag = "band " + std::to_string(band);
+    expect_paths_agree(pairs, config, tag.c_str());
+    config.align.traceback = false;
+    expect_paths_agree(pairs, config, (tag + " score-only").c_str());
+  }
+}
+
 }  // namespace
 }  // namespace pimnw::core
