@@ -382,6 +382,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown --backend or --policy value\n");
     return 1;
   }
+  // time_dispatch registers the pim, cpu and wfa backends only.
+  if (*backend_kind != core::BackendKind::kPim &&
+      *backend_kind != core::BackendKind::kCpu &&
+      *backend_kind != core::BackendKind::kWfa) {
+    std::fprintf(stderr,
+                 "--backend %s is not registered here (pim | cpu | wfa)\n",
+                 core::backend_kind_name(*backend_kind));
+    return 1;
+  }
 
   auto threads = static_cast<std::size_t>(cli.get_int("threads"));
   if (threads == 0) {

@@ -142,6 +142,12 @@ int main(int argc, char** argv) {
   dispatch_config.policy = *policy;
   dispatch_config.single = *backend_kind;
   core::Dispatcher dispatcher(dispatch_config, {&pim, &cpu, &wfa});
+  if (dispatcher.backend(*backend_kind) == nullptr) {
+    std::fprintf(stderr,
+                 "--backend %s is not registered here (pim | cpu | wfa)\n",
+                 core::backend_kind_name(*backend_kind));
+    return 1;
+  }
 
   const std::string calibration_file = cli.get_string("calibration-file");
   if (!calibration_file.empty()) {

@@ -100,10 +100,6 @@ class PimKernel {
     return true;
   }
 
-  /// Whether the kernel can run kFlagSession rounds (resident database,
-  /// compact entries/results, score-only).
-  virtual bool supports_session() const { return true; }
-
   /// Longest single sequence the kernel accepts (0 = unbounded): the
   /// length part of pair_admissible.
   virtual std::uint64_t max_seq_bases() const { return 0; }
