@@ -37,7 +37,8 @@
 # care), the flight recorder's armed black box, and telemetry-on/off
 # bit-identity of modeled results. The default preset also smoke-runs
 # pimnw_serve --metrics-port 0 and curls /metrics + /healthz, checking the
-# instrumented families are actually exposed under load.
+# instrumented families are actually exposed under load, and checks that
+# pimnw_trace rejects a --backend it does not register with exit 1.
 #
 # A --tidy flag adds a clang-tidy pass (the .clang-tidy profile) over the
 # core orchestration and simulator sources; it is skipped with a notice when
@@ -51,7 +52,9 @@
 # (direction-aware, 20% tolerance; provenance/machine/scaling subtrees
 # skipped as machine-dependent). backend_bench routes its cost policy on
 # the checked-in bench/backend_calibration.json, so that routing is
-# reproducible.
+# reproducible. It then runs each perfbench workload once for 2 s with
+# --trace 0: perfbench checks every result it produces and exits non-zero on
+# a wrong score, CIGAR or device_s.
 #
 # Usage: scripts/verify.sh [--tidy] [--bench] [preset ...]
 #        (default presets: default asan tsan)
@@ -111,6 +114,14 @@ for preset in "${PRESETS[@]}"; do
   if [ "$preset" = default ]; then
     echo "=== [$preset] pimnw_prof smoke"
     "$BUILD_DIR/examples/pimnw_prof" --pairs 96 --length 300 >/dev/null
+    echo "=== [$preset] pimnw_trace rejects an unregistered --backend"
+    TRACE_RC=0
+    "$BUILD_DIR/examples/pimnw_trace" --backend pimwfa --pairs 4 \
+        >/dev/null 2>&1 || TRACE_RC=$?
+    if [ "$TRACE_RC" -ne 1 ]; then
+      echo "pimnw_trace --backend pimwfa exited $TRACE_RC, want 1"
+      exit 1
+    fi
     echo "=== [$preset] pimnw_serve smoke"
     "$BUILD_DIR/examples/pimnw_serve" --pairs 128 --length 200 --clients 2 \
         --json-out "$BUILD_DIR/serve_metrics.json" >/dev/null
@@ -200,6 +211,13 @@ if [ "$RUN_BENCH" -eq 1 ]; then
   echo "=== [bench] diff vs committed baseline"
   python3 scripts/bench_diff.py BENCH_backend.json \
       "$BENCH_TMP/BENCH_backend.json"
+  # perfbench checks every result it times (scores, CIGARs, device_s) and
+  # exits non-zero on a wrong one; a short run per workload is the gate.
+  for workload in pairwise_long allvsall_16s serve_mixed; do
+    echo "=== [bench] perfbench $workload correctness (2 s, --trace 0)"
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 \
+        --trace 0 >/dev/null
+  done
 fi
 
 echo "verify.sh: all presets green (${PRESETS[*]})"
