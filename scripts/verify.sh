@@ -38,23 +38,25 @@
 # bit-identity of modeled results. The default preset also smoke-runs
 # pimnw_serve --metrics-port 0 and curls /metrics + /healthz, checking the
 # instrumented families are actually exposed under load, and checks that
-# pimnw_trace rejects a --backend it does not register with exit 1.
+# pimnw_trace rejects a --backend it does not register, and an unknown
+# flag, with exit 1.
 #
 # A --tidy flag adds a clang-tidy pass (the .clang-tidy profile) over the
 # core orchestration and simulator sources; it is skipped with a notice when
 # clang-tidy is not installed, so the stage is safe to request everywhere.
 #
-# A --bench flag adds the benchmark regression gate: re-run the
-# BENCH_kernel.json, BENCH_16s.json, BENCH_serve.json, BENCH_host.json and
-# BENCH_backend.json producers (micro_kernels timing emitter, bench_16s,
-# serve_bench, host_throughput, backend_bench) into a temporary directory
-# and compare against the committed baselines with scripts/bench_diff.py
-# (direction-aware, 20% tolerance; provenance/machine/scaling subtrees
-# skipped as machine-dependent). backend_bench routes its cost policy on
-# the checked-in bench/backend_calibration.json, so that routing is
-# reproducible. It then runs each perfbench workload once for 2 s with
-# --trace 0: perfbench checks every result it produces and exits non-zero on
-# a wrong score, CIGAR or device_s.
+# A --bench flag adds the benchmark regression gate. It first runs each
+# perfbench workload once for 2 s with --trace 0: perfbench checks every
+# result it produces and exits non-zero on a wrong score, CIGAR or device_s,
+# so correctness is gated before any wall-clock diff can stop the script.
+# It then re-runs the BENCH_kernel.json, BENCH_16s.json, BENCH_serve.json,
+# BENCH_host.json and BENCH_backend.json producers (micro_kernels timing
+# emitter, bench_16s, serve_bench, host_throughput, backend_bench) into a
+# temporary directory and compares them against the committed baselines
+# with scripts/bench_diff.py (direction-aware, 20% tolerance;
+# provenance/machine/scaling subtrees skipped as machine-dependent).
+# backend_bench routes its cost policy on the checked-in
+# bench/backend_calibration.json, so that routing is reproducible.
 #
 # Usage: scripts/verify.sh [--tidy] [--bench] [preset ...]
 #        (default presets: default asan tsan)
@@ -122,6 +124,13 @@ for preset in "${PRESETS[@]}"; do
       echo "pimnw_trace --backend pimwfa exited $TRACE_RC, want 1"
       exit 1
     fi
+    echo "=== [$preset] pimnw_trace rejects an unknown flag"
+    TRACE_RC=0
+    "$BUILD_DIR/examples/pimnw_trace" --out x >/dev/null 2>&1 || TRACE_RC=$?
+    if [ "$TRACE_RC" -ne 1 ]; then
+      echo "pimnw_trace --out x exited $TRACE_RC, want 1"
+      exit 1
+    fi
     echo "=== [$preset] pimnw_serve smoke"
     "$BUILD_DIR/examples/pimnw_serve" --pairs 128 --length 200 --clients 2 \
         --json-out "$BUILD_DIR/serve_metrics.json" >/dev/null
@@ -174,6 +183,13 @@ for preset in "${PRESETS[@]}"; do
 done
 
 if [ "$RUN_BENCH" -eq 1 ]; then
+  # perfbench checks every result it times (scores, CIGARs, device_s) and
+  # exits non-zero on a wrong one; a short run per workload is the gate.
+  for workload in pairwise_long allvsall_16s serve_mixed; do
+    echo "=== [bench] perfbench $workload correctness (2 s, --trace 0)"
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 \
+        --trace 0 >/dev/null
+  done
   echo "=== [bench] rebuild micro_kernels + bench_16s + serve_bench (default preset)"
   cmake --preset default >/dev/null
   cmake --build --preset default -j "$JOBS" --target micro_kernels bench_16s serve_bench
@@ -211,13 +227,6 @@ if [ "$RUN_BENCH" -eq 1 ]; then
   echo "=== [bench] diff vs committed baseline"
   python3 scripts/bench_diff.py BENCH_backend.json \
       "$BENCH_TMP/BENCH_backend.json"
-  # perfbench checks every result it times (scores, CIGARs, device_s) and
-  # exits non-zero on a wrong one; a short run per workload is the gate.
-  for workload in pairwise_long allvsall_16s serve_mixed; do
-    echo "=== [bench] perfbench $workload correctness (2 s, --trace 0)"
-    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 \
-        --trace 0 >/dev/null
-  done
 fi
 
 echo "verify.sh: all presets green (${PRESETS[*]})"

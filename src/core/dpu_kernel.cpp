@@ -58,32 +58,6 @@ void dma_read_chunked(DpuContext& ctx, upmem::PoolCost& pool,
   }
 }
 
-void dma_write_chunked(DpuContext& ctx, upmem::PoolCost& pool,
-                       std::uint64_t wram_addr, std::uint64_t mram_addr,
-                       std::uint64_t bytes) {
-  while (bytes > 0) {
-    const std::uint64_t chunk = std::min<std::uint64_t>(bytes,
-                                                        upmem::kDmaMaxBytes);
-    ctx.mram_write(wram_addr, mram_addr, chunk);
-    pool.dma(chunk);
-    wram_addr += chunk;
-    mram_addr += chunk;
-    bytes -= chunk;
-  }
-}
-
-/// Charge (without moving) the DMA cost of a chunked transfer — the modeled
-/// extra BT streaming passes of bt_stream_passes re-cross the MRAM port with
-/// bytes already written by the first pass, so only the accounting changes.
-void charge_dma_chunked(upmem::PoolCost& pool, std::uint64_t bytes) {
-  while (bytes > 0) {
-    const std::uint64_t chunk = std::min<std::uint64_t>(bytes,
-                                                        upmem::kDmaMaxBytes);
-    pool.dma(chunk);
-    bytes -= chunk;
-  }
-}
-
 /// Sliding 2-bit-packed window over a sequence stored in MRAM.
 /// Monotonically advancing; refills itself (and charges the DMA) on demand.
 /// Each refill also decodes the loaded bytes into one code byte per base in
@@ -135,14 +109,8 @@ class SeqWindow {
     // Chunked: wide bands can push the window past one DMA's 2048 bytes.
     // Window refills are part of the setup/2-bit-decode phase (§4.1.1).
     pool_->set_phase(upmem::Phase::kSetup);
-    std::uint64_t done = 0;
-    while (done < read_bytes) {
-      const std::uint64_t chunk =
-          std::min<std::uint64_t>(read_bytes - done, upmem::kDmaMaxBytes);
-      ctx_->mram_read(data_off_ + start_byte + done, wram_addr_ + done, chunk);
-      pool_->dma(chunk);
-      done += chunk;
-    }
+    dma_read_chunked(*ctx_, *pool_, data_off_ + start_byte, wram_addr_,
+                     read_bytes);
     win_start_ = new_start;
     win_loaded_ = static_cast<std::int64_t>(read_bytes) * 4;
     PIMNW_CHECK_MSG(last < win_start_ + win_loaded_,
@@ -203,22 +171,21 @@ struct PoolBuffers {
   std::uint64_t tb_lo_addr = 0;     // traceback lo cache
   std::span<std::uint32_t> tb_lo;
 
-  // Host-side fast-path scratch — deliberately NOT WRAM. The functional DPU
-  // state (H/I/D arrays, windows, BT rows) stays in simulated WRAM; these
-  // are read snapshots the fast path takes per anti-diagonal to break the
-  // scalar loop's in-place carry dependencies, so they model nothing and
-  // cost nothing (DESIGN.md "Simulator fast path"). Score snapshots carry
-  // one kNegInf pad element on each side so shifted neighbour reads resolve
-  // out-of-band lanes without branches. The storage (and the windows'
-  // decoded bases) is borrowed from a KernelScratch arena shared by every
-  // pool of the launch: pairs align strictly one at a time, and attach()
-  // makes each pair's first ensure() refill and re-decode, so pools never
-  // overlap in it.
-  Score* snap_hp = nullptr;   // H on anti-diagonal s-1, padded
-  Score* snap_h2 = nullptr;   // H on anti-diagonal s-2, padded
-  Score* snap_ip = nullptr;   // I on anti-diagonal s-1, padded
-  Score* snap_dp = nullptr;   // D on anti-diagonal s-1, padded
-  std::uint8_t* codes = nullptr;   // unpacked BT codes per interior lane
+  // Host-side fast-path state — deliberately NOT WRAM, so it models nothing
+  // and costs nothing (DESIGN.md "Simulator fast path"). The fast path
+  // keeps the H/I/D band in rotating host rows instead of the WRAM arrays
+  // above, which stay the scalar spec's working state; windows and BT rows
+  // still move through WRAM by DMA. Row pointers address slot 0 of a row
+  // whose kNegInf pads at [-1] and [w] are never written, so shifted
+  // neighbour reads resolve out-of-band lanes without branches. The storage
+  // (and the windows' decoded bases) is borrowed from a KernelScratch arena
+  // shared by every pool of the launch: pairs align strictly one at a time,
+  // each pair reads only band slots it wrote itself, and attach() makes its
+  // first ensure() refill and re-decode, so pools never overlap in it.
+  Score* h_row[3] = {};  // H on anti-diagonals s, s-1, s-2
+  Score* i_row[2] = {};  // I on s, s-1
+  Score* d_row[2] = {};  // D on s, s-1
+  std::uint8_t* codes = nullptr;  // BT codes, one per lane, for packing
 
   void allocate(DpuContext& ctx, upmem::PoolCost& pool, std::int64_t w,
                 KernelScratch& scratch) {
@@ -240,10 +207,13 @@ struct PoolBuffers {
     tb_lo_addr = ctx.wram.alloc(kTbLoCache * 4);
     tb_lo = ctx.wram.view<std::uint32_t>(tb_lo_addr, kTbLoCache);
 
-    snap_hp = scratch.snap_hp.data();
-    snap_h2 = scratch.snap_h2.data();
-    snap_ip = scratch.snap_ip.data();
-    snap_dp = scratch.snap_dp.data();
+    Score* row = scratch.band.data() + 1;
+    const std::size_t stride = static_cast<std::size_t>(w) + 2;
+    for (Score** slot : {&h_row[0], &h_row[1], &h_row[2], &i_row[0],
+                         &i_row[1], &d_row[0], &d_row[1]}) {
+      *slot = row;
+      row += stride;
+    }
     codes = scratch.codes.data();
   }
 };
@@ -326,8 +296,7 @@ class PairAligner {
                            std::uint8_t* bt_row);
   void compute_diag_fast(std::int64_t s, std::int64_t lo, std::int64_t shift1,
                          std::int64_t shift2, std::int64_t i_min,
-                         std::int64_t i_max, std::span<Score> h_cur,
-                         std::span<Score> h_prev, std::uint8_t* bt_row);
+                         std::int64_t i_max, std::uint8_t* bt_row);
   dna::Cigar traceback(std::int64_t m, std::int64_t n);
   void write_result(std::uint32_t pair_index, const PairResult& result);
   void flush_runs(const PairEntry& pair, bool final_flush);
@@ -456,9 +425,8 @@ void PairAligner::compute_band(std::int64_t m, std::int64_t n) {
   std::int64_t lo = 0;
   std::int64_t lo1 = 0;
   std::int64_t lo2 = 0;
-
-  const std::uint64_t cell_instr =
-      cost_.cell_score_instr + (traceback_on_ ? cost_.cell_bt_instr : 0);
+  const Score* h_now = nullptr;  // H on the anti-diagonal just computed
+  std::uint8_t* const bt_row = ctx_.wram.raw(buf_.bt_row_addr, row_bytes);
 
   for (std::int64_t s = 0; s <= m + n; ++s) {
     // Stage this anti-diagonal's window origin for the traceback.
@@ -486,59 +454,62 @@ void PairAligner::compute_band(std::int64_t m, std::int64_t n) {
     const std::int64_t shift1 = lo - lo1;  // 0 or 1
     const std::int64_t shift2 = lo - lo2;  // 0, 1 or 2
 
-    std::span<Score> h_cur = buf_.h[static_cast<std::size_t>(s & 1)];
-    std::span<Score> h_prev = buf_.h[static_cast<std::size_t>((s ^ 1) & 1)];
-
-    std::uint8_t* bt_row = ctx_.wram.raw(buf_.bt_row_addr, row_bytes);
-    if (traceback_on_) std::memset(bt_row, 0, row_bytes);
-
     // Functional update of the anti-diagonal. Both paths produce bit-identical
     // band state and BT rows; the split only changes host wall-clock, never
-    // the PoolCost charges below (DESIGN.md "Simulator fast path").
+    // the PoolCost charges (DESIGN.md "Simulator fast path").
     if (fast_path_) {
-      compute_diag_fast(s, lo, shift1, shift2, i_min, i_max, h_cur, h_prev,
-                        bt_row);
+      compute_diag_fast(s, lo, shift1, shift2, i_min, i_max, bt_row);
+      h_now = buf_.h_row[0];
     } else {
+      std::span<Score> h_cur = buf_.h[static_cast<std::size_t>(s & 1)];
+      std::span<Score> h_prev = buf_.h[static_cast<std::size_t>((s ^ 1) & 1)];
+      if (traceback_on_) std::memset(bt_row, 0, row_bytes);
       compute_diag_scalar(s, lo, shift1, shift2, i_min, i_max, h_cur, h_prev,
                           bt_row);
+      h_now = h_cur.data();
     }
 
-    // Charge the anti-diagonal: w cells split across the pool's tasklets,
-    // master bookkeeping, and the pool barrier.
-    pool_.set_phase(upmem::Phase::kCompute);
-    pool_.balanced_step(static_cast<std::uint64_t>(w) * cell_instr, tasklets_);
-    pool_.balanced_step(
-        static_cast<std::uint64_t>(cost_.barrier_instr) *
-            static_cast<std::uint64_t>(tasklets_),
-        tasklets_);
-    pool_.set_phase(upmem::Phase::kBandShift);
-    pool_.serial(cost_.antidiag_master_instr);
-
+    // Stream the BT row out (one DMA: the WRAM budget keeps w below 4096,
+    // so a row never exceeds 2048 bytes). Charged per pair below.
     if (traceback_on_) {
-      pool_.set_phase(upmem::Phase::kBtDma);
-      dma_write_chunked(ctx_, pool_, buf_.bt_row_addr,
-                        rows_off + static_cast<std::uint64_t>(s) * row_bytes,
-                        row_bytes);
-      // Extra modeled BT streaming passes (bt_stream_passes > 1): the row was
-      // already written, only the MRAM-port accounting repeats.
-      for (int pass = 1; pass < bt_passes_; ++pass) {
-        charge_dma_chunked(pool_, row_bytes);
-      }
+      ctx_.mram_write(buf_.bt_row_addr,
+                      rows_off + static_cast<std::uint64_t>(s) * row_bytes,
+                      row_bytes);
     }
 
     if (s == m + n) break;
 
-    const Score top_score = (i_min <= i_max)
-                                ? h_cur[static_cast<std::size_t>(i_min - lo)]
-                                : kNegInf;
+    const Score top_score =
+        (i_min <= i_max) ? h_now[i_min - lo] : kNegInf;
     const Score bottom_score =
-        (i_min <= i_max) ? h_cur[static_cast<std::size_t>(i_max - lo)]
-                         : kNegInf;
+        (i_min <= i_max) ? h_now[i_max - lo] : kNegInf;
     const bool down =
         align::adaptive_move_down(lo, s, m, n, w, top_score, bottom_score);
     lo2 = lo1;
     lo1 = lo;
     lo += down ? 1 : 0;
+  }
+
+  // Charge the pair's m+n+1 anti-diagonals at once: w cells split across the
+  // pool's tasklets, the pool barrier, master bookkeeping, and each BT row's
+  // streaming passes (bt_stream_passes > 1 re-crosses the MRAM port with the
+  // row already written). Every anti-diagonal charges the same, the counters
+  // are sums, and nothing reads them inside a pair, so this equals the
+  // per-anti-diagonal charges exactly.
+  const std::uint64_t diags = static_cast<std::uint64_t>(m + n + 1);
+  const std::uint64_t cell_instr =
+      cost_.cell_score_instr + (traceback_on_ ? cost_.cell_bt_instr : 0);
+  pool_.set_phase(upmem::Phase::kCompute);
+  pool_.balanced_step(static_cast<std::uint64_t>(w) * cell_instr, tasklets_,
+                      diags);
+  pool_.balanced_step(static_cast<std::uint64_t>(cost_.barrier_instr) *
+                          static_cast<std::uint64_t>(tasklets_),
+                      tasklets_, diags);
+  pool_.set_phase(upmem::Phase::kBandShift);
+  pool_.serial(cost_.antidiag_master_instr * diags);
+  if (traceback_on_) {
+    pool_.set_phase(upmem::Phase::kBtDma);
+    pool_.dma(row_bytes, diags * static_cast<std::uint64_t>(bt_passes_));
   }
 
   // Flush the tail of the lo staging buffer (padded to 8 bytes).
@@ -557,9 +528,7 @@ void PairAligner::compute_band(std::int64_t m, std::int64_t n) {
     reached_ = false;
     return;
   }
-  final_score_ =
-      buf_.h[static_cast<std::size_t>((m + n) & 1)]
-            [static_cast<std::size_t>(k_final)];
+  final_score_ = h_now[k_final];
   reached_ = final_score_ > kNegInf / 2;
 }
 
@@ -677,119 +646,103 @@ void PairAligner::compute_diag_scalar(std::int64_t s, std::int64_t lo,
 
 // Cycle-exact fast path. Same update as compute_diag_scalar, restructured:
 // the in-band check is hoisted (only k in [i_min-lo, i_max-lo] is visited),
-// the i==0 / j==0 boundary cells are peeled, the in-place carries are
-// replaced by padded snapshots of the previous band state, the bases are
-// compared from byte arrays decoded once per window refill (host analog of
-// the paper's cmpb4), the interior run is handed to a branchless dense sweep
-// (AVX2 when available), and its BT codes are packed two per byte. The
-// equivalence argument, per input:
-//   h_up     = H_prev[k+shift1-1]   (carry-free: h_prev is not written here)
-//   i_up     = I_prev[k+shift1-1]   (shift1==0: carry of old_i; ==1: old_i)
-//   h_left   = H_prev[k+shift1]
-//   d_left   = D_prev[k+shift1]     (shift1==0: dv[k]; ==1: dv[k+1], unwritten
-//                                    ahead of the ascending walk)
-//   h_diag   = H_prev2[k+shift2-1]  (shift2==0: carry; ==1: old_h2; ==2:
-//                                    h_cur[k+1] ahead of the walk)
-// with any out-of-range index reading kNegInf — supplied here by one pad slot
-// on each side of the snapshots. Slots outside the interior run (out of
-// band, or peeled) get kNegInf and BT code 0 exactly as the reference writes
-// them.
+// the i==0 / j==0 boundary cells are peeled, the band state lives in
+// rotating padded host rows (H on s, s-1, s-2; I and D on s, s-1) instead
+// of the in-place WRAM arrays and their carries, the bases are compared
+// from byte arrays decoded once per window refill (host analog of the
+// paper's cmpb4), the interior run is handed to a branchless dense sweep
+// (AVX2 when available), and the BT row is nibble-packed in one pass. The
+// scalar loop's carries only recover values its in-place walk has already
+// overwritten, so per input:
+//   h_up   = H_{s-1}[k+shift1-1]     i_up   = I_{s-1}[k+shift1-1]
+//   h_left = H_{s-1}[k+shift1]       d_left = D_{s-1}[k+shift1]
+//   h_diag = H_{s-2}[k+shift2-1]
+// with any index outside [0, w) reading kNegInf from a row pad. Only this
+// anti-diagonal's in-band slots are written, and no lane reads any other
+// slot: an interior lane (i >= 1, j >= 1, in band) has its up (i-1, j),
+// left (i, j-1) and diagonal (i-1, j-1) neighbours inside the i_min..i_max
+// range of their own anti-diagonal whenever their slot is in [0, w). So
+// stale slots (out of band here, or left by an earlier pair) are never
+// read, and nothing is reset — which is why the peeled boundary cells write
+// all three values, as the reference does.
 void PairAligner::compute_diag_fast(std::int64_t s, std::int64_t lo,
                                     std::int64_t shift1, std::int64_t shift2,
                                     std::int64_t i_min, std::int64_t i_max,
-                                    std::span<Score> h_cur,
-                                    std::span<Score> h_prev,
                                     std::uint8_t* bt_row) {
-  const std::int64_t w = batch_.header.band_width;
   const align::Scoring& sc = batch_.scoring;
-  const std::size_t ws = static_cast<std::size_t>(w);
 
-  // Snapshot the band state this diagonal reads before overwriting it. The
-  // destination offset +1 preserves the kNegInf pads installed at allocation.
-  // H on s-2 (still in h_cur) was snapshotted one diagonal ago as that
-  // diagonal's h_prev, and neither copy has been written since, so the two
-  // H snapshots swap roles instead of copying it again. At s == 0 the swap
-  // leaves a stale snap_h2, which no lane reads: that diagonal's only cell
-  // is the peeled origin.
-  std::swap(buf_.snap_hp, buf_.snap_h2);
-  std::memcpy(buf_.snap_hp + 1, h_prev.data(), ws * sizeof(Score));
-  std::memcpy(buf_.snap_ip + 1, buf_.iv.data(), ws * sizeof(Score));
-  std::memcpy(buf_.snap_dp + 1, buf_.dv.data(), ws * sizeof(Score));
+  // s-1 becomes s-2, s becomes s-1, and the oldest rows take anti-diagonal s.
+  std::rotate(buf_.h_row, buf_.h_row + 2, buf_.h_row + 3);
+  std::swap(buf_.i_row[0], buf_.i_row[1]);
+  std::swap(buf_.d_row[0], buf_.d_row[1]);
+  Score* const h = buf_.h_row[0];
+  Score* const iv = buf_.i_row[0];
+  Score* const dv = buf_.d_row[0];
 
   // Interior lanes: i >= 1 and j >= 1. The i == 0 cell (only possible while
   // lo == 0, at k == 0) and the j == 0 cell (i == s; s > 0 keeps it distinct
-  // from the origin) are peeled below.
+  // from the origin) are peeled.
   const std::int64_t ilo = std::max<std::int64_t>(i_min, 1);
   const std::int64_t ihi = (s > 0 && i_max == s) ? s - 1 : i_max;
   const std::int64_t len = std::max<std::int64_t>(ihi - ilo + 1, 0);
   const std::int64_t ka = ilo - lo;
 
-  // The sweep writes every interior lane, so only the slots outside
-  // [ka, ka+len) (out of band, or peeled) are reset to kNegInf here.
-  const std::size_t head = len > 0 ? static_cast<std::size_t>(ka) : 0;
-  const std::size_t tail = head + static_cast<std::size_t>(len);
-  for (Score* v : {h_cur.data(), buf_.iv.data(), buf_.dv.data()}) {
-    std::fill(v, v + head, kNegInf);
-    std::fill(v + tail, v + ws, kNegInf);
+  if (i_min <= i_max && i_min == 0) {
+    const Score gap = s == 0 ? 0 : -sc.gap_cost(static_cast<std::uint64_t>(s));
+    h[-lo] = gap;
+    iv[-lo] = kNegInf;
+    dv[-lo] = s == 0 ? kNegInf : gap;
+  }
+  if (i_min <= i_max && s > 0 && i_max == s) {
+    const Score gap = -sc.gap_cost(static_cast<std::uint64_t>(s));
+    h[s - lo] = gap;
+    iv[s - lo] = gap;
+    dv[s - lo] = kNegInf;
   }
 
-  if (i_min > i_max) return;
-  if (i_min == 0) {
-    const Score h =
-        (s == 0) ? 0 : -sc.gap_cost(static_cast<std::uint64_t>(s));
-    h_cur[static_cast<std::size_t>(-lo)] = h;
-    if (s > 0) buf_.dv[static_cast<std::size_t>(-lo)] = h;
-  }
-  if (s > 0 && i_max == s) {
-    const Score h = -sc.gap_cost(static_cast<std::uint64_t>(s));
-    h_cur[static_cast<std::size_t>(s - lo)] = h;
-    buf_.iv[static_cast<std::size_t>(s - lo)] = h;
-  }
-  if (len == 0) return;
-
-  simd::DiagSpan span{};
-  span.up_h = buf_.snap_hp + 1 + ka + shift1 - 1;
-  span.up_i = buf_.snap_ip + 1 + ka + shift1 - 1;
-  span.left_h = buf_.snap_hp + 1 + ka + shift1;
-  span.left_d = buf_.snap_dp + 1 + ka + shift1;
-  span.diag_h = buf_.snap_h2 + 1 + ka + shift2 - 1;
-  // The windows were decoded when they were refilled, b's reversed, so lane
-  // t pairs a[ilo-1+t] with b[s-ilo-1-t] straight out of the two arrays.
-  span.base_a = buf_.win_a.decoded_from(ilo - 1);
-  span.base_b = buf_.win_b.decoded_from(s - ilo - 1);
-  span.out_h = h_cur.data() + ka;
-  span.out_i = buf_.iv.data() + ka;
-  span.out_d = buf_.dv.data() + ka;
-  span.codes = traceback_on_ ? buf_.codes : nullptr;
-  span.len = len;
-  span.match = sc.match;
-  span.mismatch = sc.mismatch;
-  span.gap_extend = sc.gap_extend;
-  span.open_ext = sc.open_extend();
-
-  if (use_avx2_) {
-    simd::diag_update_avx2(span);
-  } else {
-    simd::diag_update_dense(span);
+  if (len > 0) {
+    const Score* const h1 = buf_.h_row[1];
+    simd::DiagSpan span{};
+    span.up_h = h1 + ka + shift1 - 1;
+    span.up_i = buf_.i_row[1] + ka + shift1 - 1;
+    span.left_h = h1 + ka + shift1;
+    span.left_d = buf_.d_row[1] + ka + shift1;
+    span.diag_h = buf_.h_row[2] + ka + shift2 - 1;
+    // The windows were decoded when they were refilled, b's reversed, so
+    // lane t pairs a[ilo-1+t] with b[s-ilo-1-t] straight out of the arrays.
+    span.base_a = buf_.win_a.decoded_from(ilo - 1);
+    span.base_b = buf_.win_b.decoded_from(s - ilo - 1);
+    span.out_h = h + ka;
+    span.out_i = iv + ka;
+    span.out_d = dv + ka;
+    span.codes = traceback_on_ ? buf_.codes + ka : nullptr;
+    span.len = len;
+    span.match = sc.match;
+    span.mismatch = sc.mismatch;
+    span.gap_extend = sc.gap_extend;
+    span.open_ext = sc.open_extend();
+    if (use_avx2_) {
+      simd::diag_update_avx2(span);
+    } else {
+      simd::diag_update_dense(span);
+    }
   }
 
   if (traceback_on_) {
-    // The row was zeroed and every lane outside [ka, ka+len) carries code 0
-    // (the peeled boundary cells too), so whole bytes are stored: a high
-    // nibble when ka is odd, two codes per byte, then a low-nibble tail.
-    const std::uint8_t* codes = buf_.codes;
-    std::uint8_t* row = bt_row + ka / 2;
-    std::int64_t rest = len;
-    if ((ka & 1) != 0) {
-      *row++ = static_cast<std::uint8_t>(codes[0] << 4);
-      ++codes;
-      --rest;
+    // The sweep wrote codes at their absolute lanes; every other lane (out
+    // of band, peeled, or row padding) carries code 0, as the reference
+    // stores it. Then the whole row is packed, padding bytes included.
+    const std::uint64_t row_bytes =
+        bt_row_bytes(batch_.header.band_width);
+    const std::size_t head = len > 0 ? static_cast<std::size_t>(ka) : 0;
+    const std::size_t tail = head + static_cast<std::size_t>(len);
+    std::memset(buf_.codes, 0, head);
+    std::memset(buf_.codes + tail, 0, 2 * row_bytes - tail);
+    if (use_avx2_) {
+      simd::pack_codes_avx2(buf_.codes, row_bytes, bt_row);
+    } else {
+      simd::pack_codes(buf_.codes, row_bytes, bt_row);
     }
-    const std::int64_t whole = rest / 2;
-    for (std::int64_t q = 0; q < whole; ++q) {
-      row[q] = static_cast<std::uint8_t>(codes[2 * q] | codes[2 * q + 1] << 4);
-    }
-    if ((rest & 1) != 0) row[whole] = codes[rest - 1];
   }
 }
 
@@ -907,31 +860,19 @@ void PairAligner::write_result(std::uint32_t pair_index,
 }  // namespace
 
 void KernelScratch::prepare(std::int64_t band_width) {
-  const std::size_t ws = static_cast<std::size_t>(band_width);
-  if (snap_hp.size() != ws + 2) {
-    snap_hp.assign(ws + 2, kNegInf);
-    snap_h2.assign(ws + 2, kNegInf);
-    snap_ip.assign(ws + 2, kNegInf);
-    snap_dp.assign(ws + 2, kNegInf);
-    // One byte per base of a full sequence window. The AVX2 sweep loads 8
-    // lanes only while all 8 are interior, so no lane reads past the bases
-    // ensure() loaded.
-    const std::uint64_t win_bases = SeqWindow::wram_bytes(band_width) * 4;
-    base_a.assign(win_bases, 0);
-    base_b.assign(win_bases, 0);
-    codes.assign(ws, 0);
-    return;
-  }
-  // Reused arena: every snapshot interior [1, ws] a lane reads was copied
-  // earlier in the same pair (this diagonal, or the one before for H on
-  // s-2), the decoded bases come from the pair's own window refills, and no
-  // code slot is read past the lanes the sweep wrote, so stale content is
-  // unreachable. The pads are the one exception — they are read but never
-  // written; re-assert them against accidental clobber.
-  snap_hp.front() = snap_hp.back() = kNegInf;
-  snap_h2.front() = snap_h2.back() = kNegInf;
-  snap_ip.front() = snap_ip.back() = kNegInf;
-  snap_dp.front() = snap_dp.back() = kNegInf;
+  const std::size_t rows = kBandRows * (static_cast<std::size_t>(band_width) + 2);
+  // A reused arena is already sized and its pads were never written; stale
+  // slots are unreachable (compute_diag_fast reads only slots its own pair
+  // wrote, and zeroes every code lane the sweep does not write).
+  if (band.size() == rows) return;
+  band.assign(rows, kNegInf);
+  // One byte per base of a full sequence window. The AVX2 sweep loads 8
+  // lanes only while all 8 are interior, so no lane reads past the bases
+  // ensure() loaded.
+  const std::uint64_t win_bases = SeqWindow::wram_bytes(band_width) * 4;
+  base_a.assign(win_bases, 0);
+  base_b.assign(win_bases, 0);
+  codes.assign(2 * bt_row_bytes(band_width), 0);
 }
 
 void NwDpuProgram::run(DpuContext& ctx) {

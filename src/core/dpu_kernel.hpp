@@ -27,25 +27,27 @@
 
 namespace pimnw::core {
 
-/// Host-side fast-path scratch (the padded band snapshots, the sequence
-/// windows decoded one byte per base at each refill, and the BT code bytes
-/// of DESIGN.md "Simulator fast path"). It models no DPU state, so one
-/// instance can be shared by every pool of a launch (pairs align strictly
-/// one at a time) and reused across launches — the execution engine keeps
-/// one per worker thread instead of reallocating ~7 vectors per DPU launch.
-/// Safe to reuse because the sweep rewrites every interior slot it reads
-/// each anti-diagonal and each pair's first window refill re-decodes its
-/// bases; only the kNegInf pads persist, and prepare() re-asserts them.
+/// Host-side fast-path scratch (the band rows, the sequence windows decoded
+/// one byte per base at each refill, and the BT code bytes of DESIGN.md
+/// "Simulator fast path"). It models no DPU state, so one instance can be
+/// shared by every pool of a launch (pairs align strictly one at a time) and
+/// reused across launches — the execution engine keeps one per worker thread
+/// instead of reallocating per DPU launch. Safe to reuse without clearing:
+/// a pair reads only band slots it wrote itself, each pair's first window
+/// refill re-decodes its bases, and every code lane the sweep does not
+/// write is zeroed before packing; only the kNegInf pads persist, and
+/// nothing writes them.
 struct KernelScratch {
-  std::vector<align::Score> snap_hp;
-  std::vector<align::Score> snap_h2;
-  std::vector<align::Score> snap_ip;
-  std::vector<align::Score> snap_dp;
+  /// Band rows, each w + 2 scores with slot k at index 1 + k and kNegInf
+  /// pads at 0 and w + 1: H on anti-diagonals s, s-1, s-2, I on s, s-1 and
+  /// D on s, s-1, in an order the kernel rotates per anti-diagonal.
+  static constexpr std::size_t kBandRows = 7;
+  std::vector<align::Score> band;
   std::vector<std::uint8_t> base_a;
   std::vector<std::uint8_t> base_b;
-  std::vector<std::uint8_t> codes;
+  std::vector<std::uint8_t> codes;  // two per BT-row byte
 
-  /// Size for `band_width` and (re-)install the out-of-band pads.
+  /// Size for `band_width`; installs the pads when (re)allocating.
   void prepare(std::int64_t band_width);
 };
 

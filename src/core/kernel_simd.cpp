@@ -63,10 +63,21 @@ void diag_update_dense(const DiagSpan& d) {
   }
 }
 
+void pack_codes(const std::uint8_t* codes, std::uint64_t bytes,
+                std::uint8_t* row) {
+  for (std::uint64_t q = 0; q < bytes; ++q) {
+    row[q] = static_cast<std::uint8_t>(codes[2 * q] | codes[2 * q + 1] << 4);
+  }
+}
+
 #if !defined(PIMNW_HAVE_AVX2)
-// No AVX2 translation unit in this build: keep the symbol, run the dense
-// sweep. avx2_available() already steers callers away from this path.
+// No AVX2 translation unit in this build: keep the symbols, run the
+// portable loops. avx2_available() already steers callers away from here.
 void diag_update_avx2(const DiagSpan& d) { diag_update_dense(d); }
+void pack_codes_avx2(const std::uint8_t* codes, std::uint64_t bytes,
+                     std::uint8_t* row) {
+  pack_codes(codes, bytes, row);
+}
 #endif
 
 }  // namespace pimnw::core::simd

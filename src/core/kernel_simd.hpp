@@ -7,9 +7,9 @@
 // (diag_update_avx2, runtime-dispatched).
 //
 // These kernels are pure arithmetic: no cost-model charging happens here.
-// Modeled cycles/DMA are charged per anti-diagonal by the caller, so the
-// execution path cannot perturb any Table 2–8 number (DESIGN.md "Simulator
-// fast path").
+// Modeled cycles/DMA are charged per pair by the caller, so the execution
+// path cannot perturb any Table 2–8 number (DESIGN.md "Simulator fast
+// path").
 #pragma once
 
 #include <cstdint>
@@ -22,7 +22,8 @@ namespace pimnw::core::simd {
 /// dense parallel arrays. Every score pointer is pre-shifted by the caller
 /// so lane t of all inputs describes the same DP cell; lanes whose
 /// neighbour falls outside the band read align::kNegInf from padding the
-/// caller prepared. Input and output arrays must not alias.
+/// caller prepared. Input and output arrays must not alias (the AVX2 sweep
+// recomputes up to 7 lanes in its last step and relies on that).
 struct DiagSpan {
   const align::Score* up_h;    // H_prev[k + shift1 - 1]  (vertical)
   const align::Score* up_i;    // I_prev[k + shift1 - 1]
@@ -55,5 +56,15 @@ void diag_update_dense(const DiagSpan& d);
 /// build has no AVX2 translation unit; must only be called after
 /// avx2_available() returned true or on the fallback path knowingly.
 void diag_update_avx2(const DiagSpan& d);
+
+/// Nibble-packs 2·`bytes` BT codes (one per byte, each < 16) into `bytes`
+/// bytes in align::bt_store's layout: code 2q in the low nibble of row[q],
+/// code 2q+1 in the high one. `bytes` must be a multiple of 8.
+void pack_codes(const std::uint8_t* codes, std::uint64_t bytes,
+                std::uint8_t* row);
+
+/// AVX2 pack_codes, with diag_update_avx2's dispatch and fallback contract.
+void pack_codes_avx2(const std::uint8_t* codes, std::uint64_t bytes,
+                     std::uint8_t* row);
 
 }  // namespace pimnw::core::simd

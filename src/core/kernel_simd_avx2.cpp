@@ -37,8 +37,7 @@ void avx2_sweep(const DiagSpan& d) {
   const __m256i v_match = _mm256_set1_epi32(d.match);
   const __m256i v_mismatch = _mm256_set1_epi32(-d.mismatch);
 
-  std::int64_t t = 0;
-  for (; t + 8 <= d.len; t += 8) {
+  const auto step = [&](std::int64_t t) {
     // I: vertical gap, extend vs open from the cell above.
     const __m256i i_opn = _mm256_sub_epi32(load(d.up_h + t), v_open);
     const __m256i i_ext = _mm256_sub_epi32(load(d.up_i + t), v_gext);
@@ -95,25 +94,17 @@ void avx2_sweep(const DiagSpan& d) {
       __builtin_memcpy(out, &lo, 4);
       __builtin_memcpy(out + 4, &hi, 4);
     }
-  }
+  };
 
-  if (t < d.len) {
-    // Remainder lanes: run the dense reference over the tail.
-    DiagSpan tail = d;
-    tail.up_h += t;
-    tail.up_i += t;
-    tail.left_h += t;
-    tail.left_d += t;
-    tail.diag_h += t;
-    tail.base_a += t;
-    tail.base_b += t;
-    tail.out_h += t;
-    tail.out_i += t;
-    tail.out_d += t;
-    if (tail.codes != nullptr) tail.codes += t;
-    tail.len = d.len - t;
-    diag_update_dense(tail);
+  if (d.len < 8) {
+    diag_update_dense(d);  // fewer lanes than one vector step
+    return;
   }
+  std::int64_t t = 0;
+  for (; t + 8 <= d.len; t += 8) step(t);
+  // Inputs never alias outputs, so lanes the last step already wrote are
+  // recomputed to the same values: one overlapping step ends the run.
+  if (t < d.len) step(d.len - 8);
 }
 
 }  // namespace
@@ -123,6 +114,20 @@ void diag_update_avx2(const DiagSpan& d) {
     avx2_sweep<true>(d);
   } else {
     avx2_sweep<false>(d);
+  }
+}
+
+void pack_codes_avx2(const std::uint8_t* codes, std::uint64_t bytes,
+                     std::uint8_t* row) {
+  // maddubs with byte weights (1, 16) folds each code pair into one 16-bit
+  // lane (even + 16·odd <= 255); packus narrows the lanes back to bytes.
+  const __m128i weights = _mm_set1_epi16(0x1001);
+  for (std::uint64_t q = 0; q < bytes; q += 8) {
+    const __m128i pairs = _mm_maddubs_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + 2 * q)),
+        weights);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(row + q),
+                     _mm_packus_epi16(pairs, pairs));
   }
 }
 

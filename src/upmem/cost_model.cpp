@@ -115,12 +115,13 @@ void PoolCost::step(const std::vector<std::uint64_t>& per_tasklet_instr) {
   phase_instr_[static_cast<std::size_t>(phase_)] += sum;
 }
 
-void PoolCost::balanced_step(std::uint64_t total_instr, int tasklets) {
+void PoolCost::balanced_step(std::uint64_t total_instr, int tasklets,
+                             std::uint64_t repeats) {
   PIMNW_CHECK(tasklets >= 1);
   const std::uint64_t t = static_cast<std::uint64_t>(tasklets);
-  critical_instr_ += (total_instr + t - 1) / t;
-  total_instr_ += total_instr;
-  phase_instr_[static_cast<std::size_t>(phase_)] += total_instr;
+  critical_instr_ += repeats * ((total_instr + t - 1) / t);
+  total_instr_ += repeats * total_instr;
+  phase_instr_[static_cast<std::size_t>(phase_)] += repeats * total_instr;
   // Occupancy attribution: the first (total % t) tasklets run one extra
   // instruction — the same ceil/floor split the critical path assumes.
   const std::uint64_t base = total_instr / t;
@@ -128,7 +129,7 @@ void PoolCost::balanced_step(std::uint64_t total_instr, int tasklets) {
   const int used = std::min(tasklets, kMaxTasklets);
   for (int i = 0; i < used; ++i) {
     tasklet_instr_[static_cast<std::size_t>(i)] +=
-        base + (static_cast<std::uint64_t>(i) < extra ? 1 : 0);
+        repeats * (base + (static_cast<std::uint64_t>(i) < extra ? 1 : 0));
   }
 }
 
@@ -139,13 +140,13 @@ void PoolCost::serial(std::uint64_t instr) {
   tasklet_instr_[0] += instr;  // serial sections run on the master tasklet
 }
 
-void PoolCost::dma(std::uint64_t bytes) {
-  const std::uint64_t cycles = dma_cycles(bytes);
+void PoolCost::dma(std::uint64_t bytes, std::uint64_t repeats) {
+  const std::uint64_t cycles = repeats * dma_cycles(bytes);
   critical_dma_cycles_ += cycles;
-  dma_bytes_ += bytes;
+  dma_bytes_ += repeats * bytes;
   phase_dma_cycles_[static_cast<std::size_t>(phase_)] += cycles;
-  phase_dma_bytes_[static_cast<std::size_t>(phase_)] += bytes;
-  dma_hist_[static_cast<std::size_t>(dma_hist_bucket(bytes))] += 1;
+  phase_dma_bytes_[static_cast<std::size_t>(phase_)] += repeats * bytes;
+  dma_hist_[static_cast<std::size_t>(dma_hist_bucket(bytes))] += repeats;
 }
 
 DpuCostModel::DpuCostModel(int pools, int tasklets_per_pool)

@@ -111,14 +111,17 @@ class PoolCost {
 
   /// Balanced parallel step: `total_instr` split across `tasklets`, the
   /// slowest executing ceil(total/tasklets). The common fast path — avoids
-  /// materialising a vector per anti-diagonal.
-  void balanced_step(std::uint64_t total_instr, int tasklets);
+  /// materialising a vector per anti-diagonal. `repeats` charges that many
+  /// identical steps at once: every counter adds exactly repeats× one step.
+  void balanced_step(std::uint64_t total_instr, int tasklets,
+                     std::uint64_t repeats = 1);
 
   /// Master-tasklet-only (serial) section: the pool's other tasklets wait.
   void serial(std::uint64_t instr);
 
-  /// A DMA transfer issued from this pool's critical path.
-  void dma(std::uint64_t bytes);
+  /// A DMA transfer issued from this pool's critical path; `repeats`
+  /// charges that many identical transfers, exactly as repeated calls would.
+  void dma(std::uint64_t bytes, std::uint64_t repeats = 1);
 
   std::uint64_t critical_instr() const { return critical_instr_; }
   std::uint64_t total_instr() const { return total_instr_; }

@@ -57,6 +57,12 @@ Cli& Cli::flag(const std::string& name, const std::string& def,
 }
 
 void Cli::parse(int argc, const char* const* argv) {
+  // A command-line mistake ends the program here, with the reason and the
+  // usage on stderr and exit code 1, so no caller has to catch it.
+  const auto reject = [this](const std::string& message) {
+    std::cerr << program_ << ": " << message << "\n\n" << usage();
+    std::exit(1);
+  };
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -64,7 +70,7 @@ void Cli::parse(int argc, const char* const* argv) {
       std::exit(0);
     }
     if (arg.rfind("--", 0) != 0) {
-      throw std::invalid_argument("positional arguments not supported: " + arg);
+      reject("positional arguments not supported: " + arg);
     }
     arg = arg.substr(2);
     std::string key;
@@ -79,7 +85,7 @@ void Cli::parse(int argc, const char* const* argv) {
     }
     auto it = entries_.find(key);
     if (it == entries_.end()) {
-      throw std::invalid_argument("unknown flag --" + key + "\n" + usage());
+      reject("unknown flag --" + key);
     }
     Entry& entry = it->second;
     if (!have_value) {
@@ -87,7 +93,7 @@ void Cli::parse(int argc, const char* const* argv) {
         value = "1";
       } else {
         if (i + 1 >= argc) {
-          throw std::invalid_argument("missing value for --" + key);
+          reject("missing value for --" + key);
         }
         value = argv[++i];
       }
@@ -109,7 +115,7 @@ void Cli::parse(int argc, const char* const* argv) {
         value = (value == "1" || value == "true") ? "1" : "0";
       }
     } catch (const std::exception&) {
-      throw std::invalid_argument("bad value for --" + key + ": " + value);
+      reject("bad value for --" + key + ": " + value);
     }
     entry.value = value;
   }

@@ -24,8 +24,9 @@ class Cli {
   Cli& flag(const std::string& name, const std::string& def,
             const std::string& help);
 
-  /// Parse argv. On `--help`, prints usage and calls std::exit(0).
-  /// Throws std::invalid_argument on unknown flags or malformed values.
+  /// Parse argv. On `--help`, prints usage and calls std::exit(0). On an
+  /// unknown flag, a missing or malformed value, or a positional argument,
+  /// prints the reason and the usage to stderr and calls std::exit(1).
   void parse(int argc, const char* const* argv);
 
   std::int64_t get_int(const std::string& name) const;

@@ -291,7 +291,13 @@ void ThreadPool::parallel_for(std::size_t n,
       });
     }
   }
-  if (sweep->error) std::rethrow_exception(sweep->error);
+  // Take the error out under its lock so this thread owns the last
+  // reference: a helper dropping `sweep` later must not free the exception
+  // while the caller is still reading it.
+  std::unique_lock<std::mutex> lock(sweep->error_mutex);
+  const std::exception_ptr error = std::move(sweep->error);
+  lock.unlock();
+  if (error) std::rethrow_exception(error);
 }
 
 ThreadPool& global_pool() {

@@ -7,13 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "core/dpu_kernel.hpp"
 #include "core/host.hpp"
 #include "core/kernel_simd.hpp"
+#include "core/mram_layout.hpp"
 #include "data/mutate.hpp"
 #include "data/synthetic.hpp"
+#include "upmem/dpu.hpp"
 #include "util/rng.hpp"
 
 namespace pimnw::core {
@@ -160,6 +164,75 @@ TEST(KernelFastPathTest, WindowRefillsAndBytePacking) {
     expect_paths_agree(pairs, config, tag.c_str());
     config.align.traceback = false;
     expect_paths_agree(pairs, config, (tag + " score-only").c_str());
+  }
+}
+
+// A reused KernelScratch is never cleared: the fast path reads only band
+// slots its own pair wrote (or the pads) and zeroes every BT code lane the
+// sweep skips. So garbage in every non-pad slot of a caller-owned arena must
+// leave the whole MRAM image (results, CIGARs, streamed window origins and
+// BT rows) and the launch's modeled cost identical to the scalar path's.
+TEST(KernelFastPathTest, GarbageScratchIsNeverRead) {
+  Xoshiro256 rng(17);
+  for (const std::int64_t band : {4, 5, 11, 16, 33, 48}) {
+    for (const bool traceback : {true, false}) {
+      PimAlignerConfig config;
+      config.align.band_width = band;
+      config.align.traceback = traceback;
+      config.pool.pools = 3;
+      config.pool.tasklets_per_pool = 2;
+      std::vector<std::string> seqs;
+      for (int p = 0; p < 6; ++p) {
+        const std::string a = data::random_dna(1 + rng.below(400), rng);
+        data::ErrorModel errors;
+        errors.error_rate = 0.05 * static_cast<double>(rng.below(5));
+        seqs.push_back(a);
+        seqs.push_back(data::mutate(a, errors, rng));
+      }
+      const std::vector<std::string_view> views(seqs.begin(), seqs.end());
+      const SeqPool pool = SeqPool::build(views);
+      DpuBatchInput batch;
+      for (std::uint32_t p = 0; 2 * p < seqs.size(); ++p) {
+        batch.pairs.push_back({2 * p, 2 * p + 1, p});
+      }
+      const MramImage image = build_mram_image(batch, pool, nw_kernel(),
+                                               config.align, config.pool);
+
+      auto run = [&](SimPath path, KernelScratch* scratch) {
+        upmem::Dpu dpu;
+        dpu.mram().write(0, image.bytes);
+        NwDpuProgram program(config.pool, config.variant, path, scratch);
+        const auto summary = dpu.launch(program, config.pool.pools,
+                                        config.pool.tasklets_per_pool);
+        std::vector<std::uint8_t> bank(image.total_bytes);
+        dpu.mram().read(0, bank);
+        return std::make_pair(summary, bank);
+      };
+      const auto [want, want_bank] = run(SimPath::kScalar, nullptr);
+      for (const SimPath path : {SimPath::kDense, SimPath::kAuto}) {
+        KernelScratch scratch;
+        scratch.prepare(band);
+        const std::size_t stride = static_cast<std::size_t>(band) + 2;
+        for (std::size_t r = 0; r < KernelScratch::kBandRows; ++r) {
+          for (std::size_t k = 1; k < stride - 1; ++k) {
+            scratch.band[r * stride + k] =
+                static_cast<align::Score>(rng.below(1 << 20));
+          }
+        }
+        for (std::uint8_t& code : scratch.codes) {
+          code = static_cast<std::uint8_t>(rng.below(256));
+        }
+        const auto [got, bank] = run(path, &scratch);
+        const std::string tag = "band " + std::to_string(band) +
+                                (traceback ? " traceback" : " score-only") +
+                                (path == SimPath::kAuto ? " auto" : " dense");
+        EXPECT_TRUE(bank == want_bank) << tag;
+        EXPECT_EQ(got.cycles, want.cycles) << tag;
+        EXPECT_EQ(got.instructions, want.instructions) << tag;
+        EXPECT_EQ(got.dma_cycles_total, want.dma_cycles_total) << tag;
+        EXPECT_EQ(got.dma_bytes, want.dma_bytes) << tag;
+      }
+    }
   }
 }
 

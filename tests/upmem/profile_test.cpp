@@ -134,6 +134,56 @@ TEST(ProfileTest, CountersAreObserversOnly) {
   EXPECT_EQ(a.dma_bytes(), b.dma_bytes());
 }
 
+void expect_same_counters(const PoolCost& a, const PoolCost& b) {
+  EXPECT_EQ(a.critical_instr(), b.critical_instr());
+  EXPECT_EQ(a.total_instr(), b.total_instr());
+  EXPECT_EQ(a.critical_dma_cycles(), b.critical_dma_cycles());
+  EXPECT_EQ(a.dma_bytes(), b.dma_bytes());
+  for (int ph = 0; ph < kPhaseCount; ++ph) {
+    const auto phase = static_cast<Phase>(ph);
+    EXPECT_EQ(a.phase_instr(phase), b.phase_instr(phase)) << "phase " << ph;
+    EXPECT_EQ(a.phase_dma_cycles(phase), b.phase_dma_cycles(phase))
+        << "phase " << ph;
+    EXPECT_EQ(a.phase_dma_bytes(phase), b.phase_dma_bytes(phase))
+        << "phase " << ph;
+  }
+  for (int t = 0; t < kMaxTasklets; ++t) {
+    EXPECT_EQ(a.tasklet_instr(t), b.tasklet_instr(t)) << "tasklet " << t;
+  }
+  for (int bucket = 0; bucket < kDmaHistBuckets; ++bucket) {
+    EXPECT_EQ(a.dma_hist(bucket), b.dma_hist(bucket)) << "bucket " << bucket;
+  }
+}
+
+TEST(ProfileTest, RepeatedChargesEqualThatManySingleCharges) {
+  // The NW kernel charges a pair's identical anti-diagonals with one call
+  // per counter; n repeats must add exactly n single calls everywhere. 103
+  // over 4 tasklets leaves a remainder (26, 26, 26, 25), and the DMA sizes
+  // land in different histogram buckets.
+  constexpr std::uint64_t kRepeats = 37;
+  PoolCost once;
+  PoolCost loop;
+  for (PoolCost* pool : {&once, &loop}) pool->set_phase(Phase::kCompute);
+  once.balanced_step(103, 4, kRepeats);
+  for (std::uint64_t r = 0; r < kRepeats; ++r) loop.balanced_step(103, 4);
+
+  for (PoolCost* pool : {&once, &loop}) pool->set_phase(Phase::kBtDma);
+  for (const std::uint64_t bytes : {8u, 24u, 256u, 2048u}) {
+    once.dma(bytes, kRepeats);
+    for (std::uint64_t r = 0; r < kRepeats; ++r) loop.dma(bytes);
+  }
+
+  for (PoolCost* pool : {&once, &loop}) pool->set_phase(Phase::kBandShift);
+  once.balanced_step(7, 3, kRepeats);
+  for (std::uint64_t r = 0; r < kRepeats; ++r) loop.balanced_step(7, 3);
+  once.dma(40, kRepeats);
+  for (std::uint64_t r = 0; r < kRepeats; ++r) loop.dma(40);
+
+  expect_same_counters(once, loop);
+  EXPECT_GT(once.phase_instr(Phase::kBandShift), 0u);
+  EXPECT_GT(once.phase_dma_bytes(Phase::kBtDma), 0u);
+}
+
 // --- classify_bottleneck ---
 
 TEST(ProfileTest, ClassifyBottleneckArgmax) {

@@ -18,6 +18,15 @@ Cli make_cli() {
   return cli;
 }
 
+// Cli::parse rejects a bad command line with std::exit(1). The death tests
+// below re-run this binary for the one dying test ("threadsafe" style): a
+// plain fork would copy the thread-pool tests' running workers, and exit's
+// static destructors would then join threads the child does not have.
+const bool kThreadsafeDeathTests = [] {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  return true;
+}();
+
 void parse(Cli& cli, std::vector<const char*> args) {
   args.insert(args.begin(), "prog");
   cli.parse(static_cast<int>(args.size()), args.data());
@@ -63,22 +72,26 @@ TEST(CliTest, BoolAcceptsExplicitValues) {
 
 TEST(CliTest, UnknownFlagThrows) {
   Cli cli = make_cli();
-  EXPECT_THROW(parse(cli, {"--nope=1"}), std::invalid_argument);
+  EXPECT_EXIT(parse(cli, {"--nope=1"}), ::testing::ExitedWithCode(1),
+              "unknown flag --nope");
 }
 
 TEST(CliTest, MalformedIntThrows) {
   Cli cli = make_cli();
-  EXPECT_THROW(parse(cli, {"--pairs=12x"}), std::invalid_argument);
+  EXPECT_EXIT(parse(cli, {"--pairs=12x"}), ::testing::ExitedWithCode(1),
+              "bad value for --pairs: 12x");
 }
 
 TEST(CliTest, MalformedBoolThrows) {
   Cli cli = make_cli();
-  EXPECT_THROW(parse(cli, {"--verbose=maybe"}), std::invalid_argument);
+  EXPECT_EXIT(parse(cli, {"--verbose=maybe"}), ::testing::ExitedWithCode(1),
+              "bad value for --verbose: maybe");
 }
 
 TEST(CliTest, MissingValueThrows) {
   Cli cli = make_cli();
-  EXPECT_THROW(parse(cli, {"--pairs"}), std::invalid_argument);
+  EXPECT_EXIT(parse(cli, {"--pairs"}), ::testing::ExitedWithCode(1),
+              "missing value for --pairs");
 }
 
 TEST(CliTest, NegativeNumbers) {
@@ -117,7 +130,8 @@ TEST(CliTest, UsageListsFlags) {
 
 TEST(CliTest, PositionalArgumentRejected) {
   Cli cli = make_cli();
-  EXPECT_THROW(parse(cli, {"stray"}), std::invalid_argument);
+  EXPECT_EXIT(parse(cli, {"stray"}), ::testing::ExitedWithCode(1),
+              "positional arguments not supported: stray");
 }
 
 }  // namespace
